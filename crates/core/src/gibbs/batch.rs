@@ -1,11 +1,13 @@
 //! Batched same-queue arrival moves.
 //!
-//! A sweep spends almost all of its time in
-//! [`super::arrival::resample_arrival`], re-deriving the full
-//! neighbourhood (ρ/π pointer chases) and heap-allocating a fresh
-//! piecewise density for every unobserved event, every sweep. This module
-//! amortizes that cost across a *group*: all of a sweep's arrival moves
-//! at the same queue.
+//! Arrival moves are the bulk of a sweep: on a three-stage tandem trace
+//! with 10 % of tasks observed, about 1,350 of its 2,250 moves (the rest
+//! are final-departure and shift moves, which build their densities in
+//! the same allocation-free scratch). Resampling an arrival on its own
+//! ([`super::arrival::arrival_inputs`]) re-derives the full
+//! neighbourhood (ρ/π pointer chases) for every unobserved event, every
+//! sweep. This module amortizes that cost across a *group*: all of a
+//! sweep's arrival moves at the same queue.
 //!
 //! Three levers, in decreasing order of payoff:
 //!
@@ -177,8 +179,10 @@ pub struct BatchScratch {
     /// Current wave generation (bumped by [`BatchScratch::begin_wave`]).
     generation: u32,
     /// Allocation-free piecewise-density workspace for deferred
-    /// (conflicted) moves, which rebuild from the live log in the drain.
-    pw: PiecewiseScratch,
+    /// (conflicted) moves, which rebuild from the live log in the drain,
+    /// and for every scalar arrival, final-departure and shift move of a
+    /// sweep.
+    pub(crate) pw: PiecewiseScratch,
     /// Struct-of-arrays wave bounds buffers.
     soa: SoaBounds,
     /// Per-member density slots, aligned with the wave's shapes; built
@@ -518,19 +522,7 @@ pub(crate) fn resample_group<R: Rng + ?Sized>(
                     rates[shape.qe as usize],
                     rates[shape.qp as usize],
                 )?;
-                match support {
-                    ArrivalSupport::Point(lower, _) => lower,
-                    ArrivalSupport::Interval(inputs) => {
-                        let (breaks, slopes, n) = inputs.assemble();
-                        scratch.pw.rebuild_continuous(
-                            inputs.lower,
-                            inputs.upper,
-                            &breaks[..n],
-                            &slopes[..n + 1],
-                        )?;
-                        scratch.pw.sample(rng)
-                    }
-                }
+                sample_arrival(support, &mut scratch.pw, rng)?
             } else {
                 match scratch.supports[i] {
                     ArrivalSupport::Point(lower, _) => lower,
@@ -543,6 +535,25 @@ pub(crate) fn resample_group<R: Rng + ?Sized>(
         }
     }
     Ok(stats)
+}
+
+/// Draws an arrival move's new time from its classified support,
+/// building an interval's density into `pw`: the allocation-free twin of
+/// [`super::arrival::ArrivalConditional::sample`], with the same bits and
+/// RNG consumption. Shared by the drain's fallback and the scalar sweep.
+pub(crate) fn sample_arrival<R: Rng + ?Sized>(
+    support: ArrivalSupport,
+    pw: &mut PiecewiseScratch,
+    rng: &mut R,
+) -> Result<f64, InferenceError> {
+    match support {
+        ArrivalSupport::Point(lower, _) => Ok(lower),
+        ArrivalSupport::Interval(inputs) => {
+            let (breaks, slopes, n) = inputs.assemble();
+            pw.rebuild_continuous(inputs.lower, inputs.upper, &breaks[..n], &slopes[..n + 1])?;
+            Ok(pw.sample(rng))
+        }
+    }
 }
 
 #[cfg(test)]

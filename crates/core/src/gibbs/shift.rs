@@ -30,7 +30,7 @@
 use crate::error::InferenceError;
 use qni_model::ids::{EventId, TaskId};
 use qni_model::log::EventLog;
-use qni_stats::piecewise::PiecewiseExpDensity;
+use qni_stats::piecewise::{PiecewiseExpDensity, PiecewiseScratch};
 use rand::Rng;
 
 /// The conditional over the shift `δ` for one task.
@@ -54,6 +54,50 @@ impl ShiftConditional {
     }
 }
 
+/// Reusable buffers of the shift move: the slope changes collected while
+/// scanning a task, and the sorted breakpoints and per-segment slopes
+/// built from them. A sweep owns one, so its shift moves allocate nothing
+/// once the buffers have grown to the longest task.
+#[derive(Debug, Clone, Default)]
+pub struct ShiftScratch {
+    /// `(breakpoint, slope change applied above it)` pairs.
+    changes: Vec<(f64, f64)>,
+    /// Sorted interior breakpoints.
+    breaks: Vec<f64>,
+    /// Per-segment slopes (one more than `breaks`).
+    slopes: Vec<f64>,
+}
+
+/// The support and slope structure of one shift conditional, with its
+/// breakpoints and slopes borrowed from a [`ShiftScratch`].
+///
+/// Produced by [`shift_inputs`]; both the owned oracle
+/// ([`shift_conditional`]) and the sweep path ([`resample_shift`]) build
+/// their density from these same inputs, so the two are bit-identical by
+/// construction.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ShiftInputs<'a> {
+    /// Smallest feasible shift.
+    pub lower: f64,
+    /// Largest feasible shift (may be `+inf` for the last task).
+    pub upper: f64,
+    /// Sorted interior breakpoints.
+    pub breaks: &'a [f64],
+    /// Per-segment slopes (one more than `breaks`).
+    pub slopes: &'a [f64],
+}
+
+/// The support classification of one shift move.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ShiftSupport<'a> {
+    /// The support is (numerically) a single point: the move shifts by
+    /// the first field and consumes no randomness. The second field is
+    /// the recorded upper bound.
+    Point(f64, f64),
+    /// A proper interval with its slope structure.
+    Interval(ShiftInputs<'a>),
+}
+
 /// Whether every time of task `k` is free (all non-initial arrivals and
 /// the final departure unobserved). Only such tasks may shift rigidly.
 pub fn task_fully_free(masked: &qni_trace::MaskedLog, k: TaskId) -> bool {
@@ -66,15 +110,19 @@ pub fn task_fully_free(masked: &qni_trace::MaskedLog, k: TaskId) -> bool {
     arrivals_free && !masked.mask().departure_observed(last)
 }
 
-/// Builds the shift conditional for task `k`.
+/// Computes the support and slope structure of task `k`'s shift
+/// conditional, writing the breakpoints and slopes into `scratch`.
 ///
 /// `k` must be fully free (the caller guarantees it; the move would
-/// otherwise displace observed data).
-pub fn shift_conditional(
+/// otherwise displace observed data). Errors if `rates` does not have
+/// one entry per queue, if the support is empty (constraint corruption),
+/// or if it is unbounded above with a non-decaying density.
+pub(crate) fn shift_inputs<'a>(
     log: &EventLog,
     rates: &[f64],
     k: TaskId,
-) -> Result<ShiftConditional, InferenceError> {
+    scratch: &'a mut ShiftScratch,
+) -> Result<ShiftSupport<'a>, InferenceError> {
     if rates.len() != log.num_queues() {
         return Err(InferenceError::RateShapeMismatch {
             expected: log.num_queues(),
@@ -83,14 +131,20 @@ pub fn shift_conditional(
     }
     let events = log.task_events(k);
     let in_task = |e: EventId| log.task_of(e) == k;
+    let ShiftScratch {
+        changes,
+        breaks,
+        slopes,
+    } = scratch;
+    changes.clear();
+    breaks.clear();
+    slopes.clear();
 
     let mut lower = f64::NEG_INFINITY;
     let mut upper = f64::INFINITY;
     // Slope contributions: (breakpoint, delta-slope applied above it),
     // plus a base slope active on the whole support.
     let mut base_slope = 0.0f64;
-    let mut changes: Vec<(f64, f64)> = Vec::new();
-
     for &e in events {
         let mu_e = rates[log.queue_of(e).index()];
         let a_e = log.arrival(e);
@@ -150,11 +204,7 @@ pub fn shift_conditional(
 
     if upper < lower {
         if upper > lower - 1e-9 {
-            return Ok(ShiftConditional {
-                lower,
-                upper: lower,
-                density: None,
-            });
+            return Ok(ShiftSupport::Point(lower, lower));
         }
         return Err(InferenceError::EmptySupport {
             event: events[0],
@@ -163,67 +213,110 @@ pub fn shift_conditional(
         });
     }
     if upper - lower < super::arrival::DEGENERATE_WIDTH {
-        return Ok(ShiftConditional {
-            lower,
-            upper,
-            density: None,
-        });
+        return Ok(ShiftSupport::Point(lower, upper));
     }
     // Fold sub-lower breakpoints into the base slope, drop super-upper
-    // ones, and build the piecewise density.
-    let mut live: Vec<(f64, f64)> = Vec::with_capacity(changes.len());
-    for (brk, delta) in changes {
+    // ones, and lay out the sorted breakpoints and running slopes.
+    changes.retain(|&(brk, delta)| {
         if brk <= lower {
             base_slope += delta;
-        } else if brk < upper {
-            live.push((brk, delta));
+            false
+        } else {
+            brk < upper
         }
-    }
-    live.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let breaks: Vec<f64> = live.iter().map(|c| c.0).collect();
-    let mut slopes = Vec::with_capacity(live.len() + 1);
-    slopes.push(base_slope);
-    for &(_, delta) in &live {
-        slopes.push(slopes.last().expect("non-empty") + delta); // qni-lint: allow(QNI-E002) — slopes is seeded with one element above
+    });
+    changes.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut slope = base_slope;
+    slopes.push(slope);
+    for &(brk, delta) in changes.iter() {
+        breaks.push(brk);
+        slope += delta;
+        slopes.push(slope);
     }
     // An unbounded upper support requires a decaying final slope; the last
     // task's entry-gap term (−λ) guarantees it, but guard anyway.
-    // qni-lint: allow(QNI-E002) — slopes is seeded with one element above
-    if upper.is_infinite() && *slopes.last().expect("non-empty") >= 0.0 {
+    if upper.is_infinite() && slope >= 0.0 {
         return Err(InferenceError::BadMoveTarget {
             event: events[0],
             what: "unbounded shift with non-decaying density",
         });
     }
-    let density = PiecewiseExpDensity::continuous_from_slopes(lower, upper, &breaks, &slopes)?;
-    Ok(ShiftConditional {
+    Ok(ShiftSupport::Interval(ShiftInputs {
         lower,
         upper,
-        density: Some(density),
-    })
+        breaks,
+        slopes,
+    }))
+}
+
+/// Builds the shift conditional for task `k`.
+///
+/// Built from the same inputs as [`resample_shift`], so the two draw
+/// bit-identical values; kept as the oracle the sweep path is tested
+/// against.
+pub fn shift_conditional(
+    log: &EventLog,
+    rates: &[f64],
+    k: TaskId,
+) -> Result<ShiftConditional, InferenceError> {
+    match shift_inputs(log, rates, k, &mut ShiftScratch::default())? {
+        ShiftSupport::Point(lower, upper) => Ok(ShiftConditional {
+            lower,
+            upper,
+            density: None,
+        }),
+        ShiftSupport::Interval(inputs) => {
+            let density = PiecewiseExpDensity::continuous_from_slopes(
+                inputs.lower,
+                inputs.upper,
+                inputs.breaks,
+                inputs.slopes,
+            )?;
+            Ok(ShiftConditional {
+                lower: inputs.lower,
+                upper: inputs.upper,
+                density: Some(density),
+            })
+        }
+    }
 }
 
 /// Applies a shift `δ` to all free times of task `k`.
 pub fn apply_shift(log: &mut EventLog, k: TaskId, delta: f64) {
-    let events: Vec<EventId> = log.task_events(k).to_vec();
-    for &e in &events[1..] {
+    // Tasks are non-empty (validated at construction); indexing afresh
+    // each step keeps the event list borrowed only between writes.
+    let n = log.task_events(k).len();
+    for i in 1..n {
+        let e = log.task_events(k)[i];
         let a = log.arrival(e);
         log.set_transition_time(e, a + delta);
     }
-    let last = *events.last().expect("tasks are non-empty"); // qni-lint: allow(QNI-E002) — TaskLog validates tasks non-empty at construction
+    let last = log.task_events(k)[n - 1];
     let d = log.departure(last);
     log.set_final_departure(last, d + delta);
 }
 
 /// Samples a shift for task `k` and applies it; returns `δ`.
+///
+/// The breakpoints go into `scratch` and the density into `pw`, so a
+/// steady-state move allocates nothing. Draws the same bits, and
+/// consumes the RNG identically, as sampling [`shift_conditional`] and
+/// then calling [`apply_shift`].
 pub fn resample_shift<R: Rng + ?Sized>(
     log: &mut EventLog,
     rates: &[f64],
     k: TaskId,
+    scratch: &mut ShiftScratch,
+    pw: &mut PiecewiseScratch,
     rng: &mut R,
 ) -> Result<f64, InferenceError> {
-    let cond = shift_conditional(log, rates, k)?;
-    let delta = cond.sample(rng);
+    let delta = match shift_inputs(log, rates, k, scratch)? {
+        ShiftSupport::Point(lower, _) => lower,
+        ShiftSupport::Interval(inputs) => {
+            pw.rebuild_continuous(inputs.lower, inputs.upper, inputs.breaks, inputs.slopes)?;
+            pw.sample(rng)
+        }
+    };
     apply_shift(log, k, delta);
     Ok(delta)
 }
@@ -319,12 +412,115 @@ mod tests {
     fn shift_moves_preserve_validity() {
         let (mut log, rates) = setup();
         let mut rng = rng_from_seed(1);
+        let mut scratch = ShiftScratch::default();
+        let mut pw = PiecewiseScratch::new();
         for _ in 0..1000 {
             for k in 0..3u32 {
-                resample_shift(&mut log, &rates, TaskId(k), &mut rng).unwrap();
+                resample_shift(&mut log, &rates, TaskId(k), &mut scratch, &mut pw, &mut rng)
+                    .unwrap();
                 qni_model::constraints::validate(&log).unwrap();
             }
         }
+    }
+
+    /// Three zero-service tasks entering together: the middle task is
+    /// pinned between its neighbours, so its shift support is the point
+    /// `[0, 0]` until a neighbour moves.
+    fn point_log() -> EventLog {
+        let mut b = EventLogBuilder::new(2, StateId(0));
+        for _ in 0..3 {
+            b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 1.0)])
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn sweep_path_matches_oracle_bitwise() {
+        // A seeded chain of shift moves: the scratch path must draw the
+        // same bits as the owned conditional + apply_shift, move after
+        // move. Task 0 carries the first task's entry gap, the last task
+        // an unbounded support, and the point fixture a pinned task.
+        let (setup_log, rates) = setup();
+        let (mut bounded, mut tails, mut points) = (0, 0, 0);
+        for (log, seed) in [(setup_log, 21u64), (point_log(), 22)] {
+            let rates = &rates[..log.num_queues()];
+            let mut oracle = log.clone();
+            let mut work = log;
+            let mut ra = rng_from_seed(seed);
+            let mut rb = rng_from_seed(seed);
+            let mut scratch = ShiftScratch::default();
+            let mut pw = PiecewiseScratch::new();
+            for _ in 0..200 {
+                // Task 1 moves first, while the point fixture still pins it.
+                let n = oracle.num_tasks();
+                for k in (0..n).map(|i| TaskId::from_index((i + 1) % n)) {
+                    let c = shift_conditional(&oracle, rates, k).unwrap();
+                    match (&c.density, c.upper.is_finite()) {
+                        (None, _) => points += 1,
+                        (Some(_), true) => bounded += 1,
+                        (Some(_), false) => tails += 1,
+                    }
+                    let want = c.sample(&mut ra);
+                    apply_shift(&mut oracle, k, want);
+                    let got = resample_shift(&mut work, rates, k, &mut scratch, &mut pw, &mut rb)
+                        .unwrap();
+                    assert_eq!(got.to_bits(), want.to_bits(), "task {k}");
+                }
+            }
+            for e in oracle.event_ids() {
+                assert_eq!(oracle.arrival(e).to_bits(), work.arrival(e).to_bits());
+                assert_eq!(oracle.departure(e).to_bits(), work.departure(e).to_bits());
+            }
+            assert_eq!(
+                ra.random::<u64>(),
+                rb.random::<u64>(),
+                "RNG streams diverged"
+            );
+        }
+        assert!(bounded > 0 && tails > 0 && points > 0);
+    }
+
+    #[test]
+    fn sweep_path_errors_match_oracle() {
+        fn parity(log: &EventLog, rates: &[f64], k: TaskId) {
+            let want = shift_conditional(log, rates, k).unwrap_err();
+            let mut work = log.clone();
+            let mut scratch = ShiftScratch::default();
+            let mut pw = PiecewiseScratch::new();
+            let got = resample_shift(
+                &mut work,
+                rates,
+                k,
+                &mut scratch,
+                &mut pw,
+                &mut rng_from_seed(1),
+            )
+            .unwrap_err();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            for e in log.event_ids() {
+                assert_eq!(work.arrival(e).to_bits(), log.arrival(e).to_bits());
+                assert_eq!(work.departure(e).to_bits(), log.departure(e).to_bits());
+            }
+        }
+        let (log, rates) = setup();
+        // RateShapeMismatch.
+        parity(&log, &rates[..2], TaskId(1));
+        // EmptySupport: task 0 now leaves queue 2 after task 1 does.
+        let mut broken = log.clone();
+        broken.set_final_departure(log.task_events(TaskId(0))[2], 5.0);
+        let err = shift_conditional(&broken, &rates, TaskId(1)).unwrap_err();
+        assert!(matches!(err, InferenceError::EmptySupport { .. }));
+        parity(&broken, &rates, TaskId(1));
+        // BadMoveTarget: with λ = 0 a lone task's unbounded shift does
+        // not decay.
+        let mut b = EventLogBuilder::new(2, StateId(0));
+        b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 1.5)])
+            .unwrap();
+        let lone = b.build().unwrap();
+        let err = shift_conditional(&lone, &[0.0, 3.0], TaskId(0)).unwrap_err();
+        assert!(matches!(err, InferenceError::BadMoveTarget { .. }));
+        parity(&lone, &[0.0, 3.0], TaskId(0));
     }
 
     #[test]

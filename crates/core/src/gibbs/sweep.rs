@@ -203,8 +203,10 @@ pub fn sweep_with_opts_pooled<R: Rng + ?Sized>(
     }
 }
 
-/// Executes a shuffled schedule against the state's log, without cloning
-/// the rate vector (split borrows of the state's fields).
+/// Executes a shuffled schedule against the state's log. Single moves go
+/// through the state's `move_*` methods and groups through the batched
+/// engine; every move builds its density in the state's scratch, so once
+/// the buffers have grown a serial sweep makes no heap allocation.
 fn run_schedule<R: Rng + ?Sized>(
     state: &mut GibbsState,
     schedule: &[Move],
@@ -213,33 +215,34 @@ fn run_schedule<R: Rng + ?Sized>(
     rng: &mut R,
     stats: &mut SweepStats,
 ) -> Result<(), InferenceError> {
-    let GibbsState {
-        log,
-        rates,
-        scratch,
-        ..
-    } = state;
-    let crate::state::SweepScratch { groups, batch, .. } = scratch;
     for &mv in schedule {
         match mv {
             Move::Arrival(e) => {
-                super::arrival::resample_arrival(log, rates, e, rng)?;
+                state.move_arrival(e, rng)?;
                 stats.arrival_moves += 1;
             }
             Move::Final(e) => {
-                super::final_departure::resample_final(log, rates, e, rng)?;
+                state.move_final(e, rng)?;
                 stats.final_moves += 1;
             }
             Move::Shift(k) => {
-                super::shift::resample_shift(log, rates, k, rng)?;
+                state.move_shift(k, rng)?;
                 stats.shift_moves += 1;
             }
             Move::Group(gi) => {
+                // Split borrows: the group structure is read while the
+                // batch workspace and the log are written.
+                let GibbsState {
+                    log,
+                    rates,
+                    scratch,
+                    ..
+                } = &mut *state;
                 let g = super::batch::resample_group(
                     log,
                     rates,
-                    &groups[gi as usize],
-                    batch,
+                    &scratch.groups[gi as usize],
+                    &mut scratch.batch,
                     shard,
                     pool.as_deref_mut(),
                     rng,

@@ -2,6 +2,7 @@
 
 use crate::error::InferenceError;
 use crate::gibbs::batch::{BatchScratch, GroupStructure};
+use crate::gibbs::shift::ShiftScratch;
 use crate::gibbs::sweep::Move;
 use crate::init::InitStrategy;
 use qni_model::ids::{EventId, TaskId};
@@ -10,8 +11,10 @@ use qni_trace::MaskedLog;
 
 /// Reusable per-state working memory for [`crate::gibbs::sweep`]: the
 /// sweep schedule buffer, the per-queue arrival-move groups of the batched
-/// engine, and the batched-move workspace. Everything here is *scratch* —
-/// it never affects sampler semantics, only allocation behavior.
+/// engine, the batched-move workspace (whose density scratch every other
+/// move kind borrows too), and the shift-move buffers. Everything here is
+/// *scratch* — it never affects sampler semantics, only allocation
+/// behavior.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
     /// Reused schedule buffer (cleared and refilled each sweep).
@@ -26,6 +29,8 @@ pub(crate) struct SweepScratch {
     /// Batched-move workspace (wave bounds, conflict stamps, density
     /// scratch).
     pub(crate) batch: BatchScratch,
+    /// Shift-move breakpoint and slope buffers.
+    pub(crate) shift: ShiftScratch,
 }
 
 /// Sampler state: a complete working event log plus current rates.
@@ -169,14 +174,27 @@ impl GibbsState {
         Ok(())
     }
 
-    /// Resamples one rigid task-shift move in place; returns `δ`.
+    /// Resamples one rigid task-shift move in place, building its density
+    /// in the state's scratch; returns `δ`.
     pub fn move_shift<R: rand::Rng + ?Sized>(
         &mut self,
         k: TaskId,
         rng: &mut R,
     ) -> Result<f64, InferenceError> {
-        let GibbsState { log, rates, .. } = self;
-        crate::gibbs::shift::resample_shift(log, rates, k, rng)
+        let GibbsState {
+            log,
+            rates,
+            scratch,
+            ..
+        } = self;
+        crate::gibbs::shift::resample_shift(
+            log,
+            rates,
+            k,
+            &mut scratch.shift,
+            &mut scratch.batch.pw,
+            rng,
+        )
     }
 
     /// The working event log.
@@ -217,25 +235,42 @@ impl GibbsState {
         self.free_arrivals.len() + self.free_finals.len()
     }
 
-    /// Resamples one arrival move in place (exposed for benches and
-    /// fine-grained drivers; sweeps should use [`crate::gibbs::sweep`]).
+    /// Resamples one arrival move in place, building its density in the
+    /// state's scratch; draws the same bits as
+    /// [`crate::gibbs::arrival::resample_arrival`]. The scalar sweep's
+    /// arrival move (exposed for benches and fine-grained drivers; sweeps
+    /// should use [`crate::gibbs::sweep`]).
     pub fn move_arrival<R: rand::Rng + ?Sized>(
         &mut self,
         e: EventId,
         rng: &mut R,
     ) -> Result<f64, InferenceError> {
-        let GibbsState { log, rates, .. } = self;
-        crate::gibbs::arrival::resample_arrival(log, rates, e, rng)
+        let GibbsState {
+            log,
+            rates,
+            scratch,
+            ..
+        } = self;
+        let support = crate::gibbs::arrival::arrival_inputs(log, rates, e)?;
+        let x = crate::gibbs::batch::sample_arrival(support, &mut scratch.batch.pw, rng)?;
+        log.set_transition_time(e, x);
+        Ok(x)
     }
 
-    /// Resamples one final-departure move in place.
+    /// Resamples one final-departure move in place, building its density
+    /// in the state's scratch.
     pub fn move_final<R: rand::Rng + ?Sized>(
         &mut self,
         e: EventId,
         rng: &mut R,
     ) -> Result<f64, InferenceError> {
-        let GibbsState { log, rates, .. } = self;
-        crate::gibbs::final_departure::resample_final(log, rates, e, rng)
+        let GibbsState {
+            log,
+            rates,
+            scratch,
+            ..
+        } = self;
+        crate::gibbs::final_departure::resample_final(log, rates, e, &mut scratch.batch.pw, rng)
     }
 }
 

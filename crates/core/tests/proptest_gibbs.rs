@@ -8,15 +8,17 @@
 
 use proptest::prelude::*;
 use qni_core::gibbs::arrival::arrival_conditional;
-use qni_core::gibbs::final_departure::final_conditional;
+use qni_core::gibbs::final_departure::{final_conditional, resample_final};
 use qni_core::gibbs::numeric::service_log_joint;
 use qni_core::gibbs::numeric::{numeric_conditional_grid, numeric_final_grid};
-use qni_core::gibbs::shift::{apply_shift, shift_conditional};
+use qni_core::gibbs::shift::{apply_shift, resample_shift, shift_conditional, ShiftScratch};
 use qni_model::ids::TaskId;
 use qni_model::log::EventLog;
 use qni_model::topology::{tandem, three_tier};
 use qni_sim::{Simulator, Workload};
+use qni_stats::piecewise::PiecewiseScratch;
 use qni_stats::rng::rng_from_seed;
+use rand::Rng;
 
 /// Simulates a random small log (mixing tandem and tiered shapes).
 fn random_log(shape: u8, tasks: usize, seed: u64) -> (EventLog, Vec<f64>) {
@@ -165,9 +167,13 @@ proptest! {
         seed in 1500u64..2000,
     ) {
         // After arbitrary sequences of all three move types the joint
-        // stays finite (no constraint ever violated).
+        // stays finite (no constraint ever violated), and every final and
+        // shift move draws the same bits and RNG stream as its owned
+        // conditional.
         let (mut log, rates) = random_log(shape, tasks, seed);
         let mut rng = rng_from_seed(seed ^ 0xdead);
+        let mut pw = PiecewiseScratch::new();
+        let mut shift = ShiftScratch::default();
         let events: Vec<_> = log
             .event_ids()
             .filter(|&e| !log.is_initial_event(e))
@@ -187,15 +193,31 @@ proptest! {
                 }
                 1 => {
                     let e = finals[i % finals.len()];
-                    qni_core::gibbs::final_departure::resample_final(
-                        &mut log, &rates, e, &mut rng,
-                    )
-                    .expect("final move");
+                    let mut oracle_rng = rng.clone();
+                    let want = final_conditional(&log, &rates, e)
+                        .expect("final conditional")
+                        .sample(&mut oracle_rng);
+                    let got = resample_final(&mut log, &rates, e, &mut pw, &mut rng)
+                        .expect("final move");
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    prop_assert_eq!(oracle_rng.random::<u64>(), rng.clone().random::<u64>());
                 }
                 _ => {
                     let k = TaskId::from_index(i % log.num_tasks());
-                    qni_core::gibbs::shift::resample_shift(&mut log, &rates, k, &mut rng)
+                    let mut oracle = log.clone();
+                    let mut oracle_rng = rng.clone();
+                    let want = shift_conditional(&oracle, &rates, k)
+                        .expect("shift conditional")
+                        .sample(&mut oracle_rng);
+                    apply_shift(&mut oracle, k, want);
+                    let got = resample_shift(&mut log, &rates, k, &mut shift, &mut pw, &mut rng)
                         .expect("shift move");
+                    prop_assert_eq!(got.to_bits(), want.to_bits());
+                    prop_assert_eq!(oracle_rng.random::<u64>(), rng.clone().random::<u64>());
+                    for e in log.event_ids() {
+                        prop_assert_eq!(log.arrival(e).to_bits(), oracle.arrival(e).to_bits());
+                        prop_assert_eq!(log.departure(e).to_bits(), oracle.departure(e).to_bits());
+                    }
                 }
             }
             prop_assert!(service_log_joint(&log, &rates).is_finite());
