@@ -31,8 +31,8 @@ impl Default for Fig5Config {
             fractions: vec![0.02, 0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50],
             // Sparse queues (the 10 web servers see ~1/12 of the events
             // each) mix slowly, so the webapp experiment runs a longer
-            // chain than the synthetic ones; see DESIGN.md's discussion
-            // of the task-shift move.
+            // chain than the synthetic ones; see the task-shift move's
+            // module docs (`qni_core::gibbs::shift`).
             stem: StemOptions {
                 iterations: 500,
                 burn_in: 250,

@@ -478,8 +478,8 @@ pub(crate) fn build_group_structure(
 /// state — then a serial drain samples every member, deferring to a
 /// live conditional rebuild for the rare member whose cached state an
 /// earlier same-wave move invalidated. RNG consumption per event is
-/// identical to the scalar [`super::arrival::resample_arrival`] (two
-/// uniforms per non-degenerate move, none for a point support), and the
+/// identical to the scalar [`super::arrival::resample_arrival`] (one
+/// uniform per non-degenerate move, none for a point support), and the
 /// drawn bytes are independent of `shard` (the prepare phase is
 /// draw-free and pure in the wave-entry log).
 pub(crate) fn resample_group<R: Rng + ?Sized>(

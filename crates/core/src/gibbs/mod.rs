@@ -3,8 +3,9 @@
 //! - [`arrival`]: resampling an unobserved arrival `a_e` (jointly with the
 //!   tied predecessor departure `d_{π(e)} = a_e`) — the sampler of the
 //!   paper's Figure 3, realized through the general piecewise log-linear
-//!   construction (see `DESIGN.md` for the derivation and the mapping to
-//!   the paper's `Z1/Z2/Z3` segments).
+//!   construction of [`qni_stats::piecewise`]. The [`arrival`] module
+//!   docs derive its segments, and [`arrival::figure3_weights`] maps them
+//!   to the paper's `Z1/Z2/Z3`.
 //! - [`final_departure`]: resampling a task's exit time, which the paper's
 //!   event convention leaves as a separate free variable.
 //! - [`sweep`]: one full randomized sweep over all free variables.

@@ -445,16 +445,16 @@ mod tests {
         let gs = build_group_structure(&log, &events).unwrap();
         let wave = gs.test_wave(0);
         let mut pool = WavePool::new(3);
-        // NaN rates trip the density builders' finiteness assertions in
-        // every chunk — leader and workers alike. The dispatch must
+        // An empty rates slice makes every chunk's rate lookup panic —
+        // leader and workers alike, in every build. The dispatch must
         // rendezvous with all of them and re-raise the panic without
         // deadlocking or wedging the pool.
-        let bad_rates = vec![f64::NAN; rates.len()];
+        let no_rates: Vec<f64> = Vec::new();
         let mut scratch = BatchScratch::default();
         let panicked = catch_unwind(AssertUnwindSafe(|| {
-            let _ = pool.dispatch(&log, &bad_rates, scratch.wave_bufs(wave), 3);
+            let _ = pool.dispatch(&log, &no_rates, scratch.wave_bufs(wave), 3);
         }));
-        assert!(panicked.is_err(), "NaN rates must surface as a panic");
+        assert!(panicked.is_err(), "a missing rate must surface as a panic");
         // The same pool then produces bit-identical good results.
         let mut inline = BatchScratch::default();
         crate::gibbs::batch::prepare_chunk(&log, &rates, inline.wave_bufs(wave)).unwrap();
@@ -463,6 +463,23 @@ mod tests {
         pool.dispatch(&log, &rates, scratch.wave_bufs(wave), 3)
             .unwrap();
         assert_eq!(drain_bits(&mut scratch, wave), reference);
+    }
+
+    #[test]
+    fn nan_rates_are_a_typed_error_not_a_panic() {
+        let (log, rates) = fixture();
+        let events = log.events_at_queue(QueueId(1)).to_vec();
+        let gs = build_group_structure(&log, &events).unwrap();
+        let wave = gs.test_wave(0);
+        let mut pool = WavePool::new(3);
+        // The density builder rejects the NaN slopes in every build, so
+        // the dispatch returns the error instead of re-raising a panic.
+        let nan_rates = vec![f64::NAN; rates.len()];
+        let mut scratch = BatchScratch::default();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            pool.dispatch(&log, &nan_rates, scratch.wave_bufs(wave), 3)
+        }));
+        assert!(matches!(outcome, Ok(Err(_))), "{outcome:?}");
     }
 
     #[test]

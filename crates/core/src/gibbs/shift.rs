@@ -24,8 +24,8 @@
 //!   and every queue's arrival order intact.
 //!
 //! This move is an extension beyond the paper (which uses single-site
-//! moves only); `DESIGN.md` documents it and the `ablation_shift` harness
-//! measures its effect on mixing.
+//! moves only); the `ablation_shift` harness measures its effect on
+//! mixing.
 
 use crate::error::InferenceError;
 use qni_model::ids::{EventId, TaskId};

@@ -1,10 +1,12 @@
 //! Numerically stable log-domain arithmetic.
 //!
 //! The Gibbs conditionals of the paper multiply exponential densities whose
-//! rates can differ by orders of magnitude; normalizing constants are
-//! therefore computed in log space. This module collects the stable
-//! primitives: `log(Σ exp)`, `log(1 − exp)`, `log(exp − exp)`, and the
-//! integral of `exp(c + s·x)` over an interval.
+//! rates can differ by orders of magnitude, so their masses span far more
+//! than an `f64`'s range. The sampler scales them by the highest peak
+//! ([`crate::piecewise`]); log-space evaluation (CDFs, log-likelihoods,
+//! the tests' oracles) uses the stable primitives collected here:
+//! `log(Σ exp)`, `log(1 − exp)`, `log(exp − exp)`, and the integral of
+//! `exp(c + s·x)` over an interval.
 
 /// Computes `ln(1 - e^x)` for `x < 0` with full precision.
 ///

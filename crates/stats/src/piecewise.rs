@@ -5,10 +5,41 @@
 //! of a handful of contiguous segments: the `max` terms inside the
 //! exponential-service log-likelihood switch on or off as `x` crosses a
 //! neighbouring event time, changing the slope of `log f` but never its
-//! continuity. This module represents such densities exactly, computes
-//! their normalizing constant in log space, and samples them by inverse
-//! CDF — segment choice first, then a truncated-exponential draw inside
-//! the chosen segment.
+//! continuity. The final-departure move and the task shift of
+//! `qni-core`'s sampler condition on densities of the same form, so every
+//! Gibbs draw goes through this module.
+//!
+//! # The sampling kernel
+//!
+//! Building a density computes two numbers per segment `[lo, hi)` with
+//! slope `s`, `a = |s|` and width `w = hi − lo`:
+//!
+//! - the log-density at the segment's peak, `g = offset + s·x*`, where
+//!   `x* = hi` for `s > 0` and `x* = lo` otherwise;
+//! - the truncated-exponential normalizer `q = 1 − e^{−a·w}` (via
+//!   `expm1`), which makes the segment's mass `e^g · q / a`. A flat
+//!   segment (`s = 0`, or `a·w < 1e-12`) has mass `e^g · w`, and a
+//!   decaying tail (`hi = +∞`) has `q = 1` and mass `e^g / a`.
+//!
+//! Masses are held in **linear space, relative to the highest peak**
+//! `M = max g`: `mass_i = e^{g_i − M} · q_i / a_i`, with the exponential
+//! skipped for the peak segment itself. No mass can overflow, and one
+//! that underflows to zero is never drawn. The log normalizer
+//! `M + ln Σ mass_i` is computed only when asked for; sampling never
+//! reads it.
+//!
+//! A draw takes **one uniform** `u`. The point `u · Σ mass` picks segment
+//! `i` from the cumulative masses, and its offset into that segment,
+//! `v = (u · Σ mass − cum_{i−1}) / mass_i`, inverts the segment's
+//! truncated exponential with the cached `q`: `x = lo − ln(1 − v·q) / a`
+//! on a decaying segment, mirrored from `hi` on a rising one, and
+//! `lo + v·w` on a flat one. `v` is clamped below one, so a tail draw is
+//! always finite. The map `u ↦ x` is the density's quantile function,
+//! which [`PiecewiseExpDensity::inv_cdf`] exposes.
+//!
+//! A `k`-segment build costs at most `2k − 1` transcendental calls (one
+//! `expm1` per finite sloped segment, one `exp` per segment but the
+//! peak), and a draw one `ln_1p`.
 //!
 //! The representation is deliberately more general than the paper's
 //! three-segment case so that degenerate configurations (missing
@@ -17,8 +48,11 @@
 
 use crate::error::StatsError;
 use crate::logspace::{log_int_exp_linear, log_int_exp_linear_tail, log_sum_exp};
-use crate::truncated_exp::TruncatedExp;
+use crate::truncated_exp::UNIFORM_REGIME;
 use rand::Rng;
+
+/// The largest `f64` below one: the ceiling of a within-segment uniform.
+const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;
 
 /// One segment of a piecewise log-linear density.
 ///
@@ -50,12 +84,36 @@ impl Segment {
     pub fn width(&self) -> f64 {
         self.hi - self.lo
     }
+
+    /// The log-density at the segment's peak: `hi` for a rising segment,
+    /// `lo` otherwise.
+    fn peak_log_density(&self) -> f64 {
+        let x = if self.slope > 0.0 { self.hi } else { self.lo };
+        self.offset + self.slope * x
+    }
+}
+
+/// What a draw needs of one segment besides its bounds and slope,
+/// computed once per build.
+#[derive(Debug, Clone, Copy)]
+struct Piece {
+    /// Mass relative to the highest segment peak.
+    mass: f64,
+    /// Relative mass of this segment and every earlier one.
+    cum: f64,
+    /// Truncated-exponential normalizer `1 − e^{−a·w}`: `1` on a tail,
+    /// and `0` marks a flat segment.
+    q: f64,
 }
 
 /// Appends the segments of a *continuous* density on `[lower, upper]` to
 /// `out` (which is **not** cleared): interior breakpoints are clamped into
 /// the support, offsets are chosen so the log-density is continuous and
 /// anchored at `log f(lower) = 0`.
+///
+/// Errors on a non-finite `lower`, breakpoint or slope, and on a NaN
+/// `upper` (`upper` itself may be `+inf`), so a NaN rate reaching a
+/// Gibbs move surfaces as a typed error in every build.
 ///
 /// Shared by [`PiecewiseExpDensity::continuous_from_slopes`] and
 /// [`PiecewiseScratch::rebuild_continuous`] so both construction paths
@@ -72,10 +130,15 @@ fn push_continuous_segments(
             what: "slopes.len() must be breaks.len() + 1",
         });
     }
-    if !(lower.is_finite()) || lower >= upper {
+    if !lower.is_finite() || upper.is_nan() || lower >= upper {
         return Err(StatsError::BadInterval {
             lo: lower,
             hi: upper,
+        });
+    }
+    if breaks.iter().chain(slopes).any(|v| !v.is_finite()) {
+        return Err(StatsError::BadParameter {
+            what: "breakpoints and slopes must be finite",
         });
     }
     if breaks.windows(2).any(|w| w[0] > w[1]) {
@@ -115,20 +178,19 @@ fn push_continuous_segments(
     Ok(())
 }
 
-/// Validates `segments` in place (dropping empty ones, preserving order),
-/// fills `log_masses` and the normalized segment probabilities `probs`
-/// (both cleared first) and returns the log normalizer.
-///
-/// The probabilities reuse the exponentials the `log(Σ exp)` reduction
-/// computes anyway, so the sampling hot path never has to exponentiate.
+/// The kernel's build (see the module docs): validates `segments` in
+/// place (dropping empty ones, preserving order), fills `pieces` (cleared
+/// first), and returns `(peak, total)` — the highest peak log-density
+/// `M` and the total relative mass, so the log normalizer is
+/// `M + ln total`.
 ///
 /// Shared by [`PiecewiseExpDensity::new`] and
 /// [`PiecewiseScratch::rebuild_continuous`].
 fn finalize_segments(
     segments: &mut Vec<Segment>,
-    log_masses: &mut Vec<f64>,
-    probs: &mut Vec<f64>,
-) -> Result<f64, StatsError> {
+    pieces: &mut Vec<Piece>,
+) -> Result<(f64, f64), StatsError> {
+    pieces.clear();
     let mut kept = 0usize;
     for i in 0..segments.len() {
         let seg = segments[i];
@@ -150,44 +212,72 @@ fn finalize_segments(
         kept += 1;
     }
     segments.truncate(kept);
-    log_masses.clear();
-    log_masses.extend(segments.iter().map(Segment::log_mass));
-    // log_sum_exp, keeping the intermediate exponentials as the
-    // (unnormalized, then normalized) segment probabilities.
-    let m = log_masses.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    probs.clear();
-    if !m.is_finite() {
-        return Err(StatsError::EmptyDensity);
-    }
-    probs.extend(log_masses.iter().map(|&lm| (lm - m).exp()));
-    let sum: f64 = probs.iter().sum();
-    let log_norm = m + sum.ln();
-    if !log_norm.is_finite() {
-        return Err(StatsError::EmptyDensity);
-    }
-    for p in probs.iter_mut() {
-        *p /= sum;
-    }
-    Ok(log_norm)
-}
-
-/// Draws one sample from finalized parts: chooses a segment proportionally
-/// to its (precomputed) probability, then inverts the within-segment CDF.
-/// Two uniform draws, no exponentials outside the chosen segment's
-/// quantile.
-fn sample_segments<R: Rng + ?Sized>(segments: &[Segment], probs: &[f64], rng: &mut R) -> f64 {
-    let u: f64 = rng.random();
-    let mut acc = 0.0;
-    let mut chosen = segments.len() - 1;
-    for (i, &p) in probs.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            chosen = i;
-            break;
+    // The first segment with the highest peak; its mass needs no `exp`.
+    let mut peak = f64::NEG_INFINITY;
+    let mut peak_at = 0;
+    for (i, seg) in segments.iter().enumerate() {
+        let g = seg.peak_log_density();
+        if g > peak {
+            peak = g;
+            peak_at = i;
         }
     }
-    let v: f64 = rng.random();
-    segment_inv_cdf(&segments[chosen], v)
+    let mut total = 0.0;
+    for (i, seg) in segments.iter().enumerate() {
+        let a = seg.slope.abs();
+        let w = seg.width();
+        let (q, rel) = if seg.hi == f64::INFINITY {
+            (1.0, 1.0 / a)
+        } else if a * w < UNIFORM_REGIME {
+            (0.0, w)
+        } else {
+            let q = -(-a * w).exp_m1();
+            (q, q / a)
+        };
+        let mass = if i == peak_at {
+            rel
+        } else {
+            (seg.peak_log_density() - peak).exp() * rel
+        };
+        total += mass;
+        pieces.push(Piece {
+            mass,
+            cum: total,
+            q,
+        });
+    }
+    if !(peak.is_finite() && total.is_finite() && total > 0.0) {
+        return Err(StatsError::EmptyDensity);
+    }
+    Ok((peak, total))
+}
+
+/// The kernel's draw (see the module docs): maps `u ∈ [0, 1)` through
+/// the quantile function of finalized parts. `u` picks the segment, and
+/// its offset into that segment's mass inverts the segment's truncated
+/// exponential.
+fn quantile(segments: &[Segment], pieces: &[Piece], total: f64, u: f64) -> f64 {
+    let t = u * total;
+    // No segment qualifies only if `t` rounded up to `total`, the last
+    // `cum`; the last segment then takes it, and the clamp on `v` keeps
+    // the draw finite.
+    let i = pieces
+        .iter()
+        .position(|p| t < p.cum)
+        .unwrap_or(pieces.len() - 1);
+    let (seg, piece) = (&segments[i], &pieces[i]);
+    let below = if i == 0 { 0.0 } else { pieces[i - 1].cum };
+    let v = ((t - below) / piece.mass).min(BELOW_ONE);
+    let w = seg.width();
+    if piece.q == 0.0 {
+        return seg.lo + v * w;
+    }
+    let a = seg.slope.abs();
+    if seg.slope < 0.0 {
+        seg.lo + (-(-v * piece.q).ln_1p() / a).min(w)
+    } else {
+        seg.hi - (-(-(1.0 - v) * piece.q).ln_1p() / a).min(w)
+    }
 }
 
 /// Normalized log-density at `x` over finalized parts.
@@ -218,37 +308,37 @@ fn log_pdf_segments(segments: &[Segment], log_norm: f64, x: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct PiecewiseExpDensity {
     segments: Vec<Segment>,
-    /// Per-segment log unnormalized mass, aligned with `segments`.
-    log_masses: Vec<f64>,
-    /// Per-segment normalized probability, aligned with `segments`.
-    probs: Vec<f64>,
-    /// Log normalizing constant (log of the sum of segment masses).
-    log_norm: f64,
+    /// Per-segment sampling data, aligned with `segments`.
+    pieces: Vec<Piece>,
+    /// Highest peak log-density over the segments.
+    peak: f64,
+    /// Total mass relative to `peak`.
+    total: f64,
 }
 
 impl PiecewiseExpDensity {
     /// Builds a density from explicit segments.
     ///
-    /// Segments with non-positive width or `-inf` mass are dropped. Errors
-    /// if no segment carries positive mass, or if any segment is divergent
+    /// Segments with non-positive width are dropped. Errors if no segment
+    /// carries positive mass, or if any segment is divergent
     /// (`hi = +inf` with `slope >= 0`) or malformed (NaN endpoints).
     pub fn new(segments: Vec<Segment>) -> Result<Self, StatsError> {
         let mut segments = segments;
-        let mut log_masses = Vec::with_capacity(segments.len());
-        let mut probs = Vec::with_capacity(segments.len());
-        let log_norm = finalize_segments(&mut segments, &mut log_masses, &mut probs)?;
+        let mut pieces = Vec::with_capacity(segments.len());
+        let (peak, total) = finalize_segments(&mut segments, &mut pieces)?;
         Ok(PiecewiseExpDensity {
             segments,
-            log_masses,
-            probs,
-            log_norm,
+            pieces,
+            peak,
+            total,
         })
     }
 
     /// Builds a *continuous* density on `[lower, upper]` from interior
     /// breakpoints and per-segment slopes.
     ///
-    /// `slopes.len()` must equal `breaks.len() + 1`. Offsets are chosen so
+    /// `slopes.len()` must equal `breaks.len() + 1`, and `lower`, every
+    /// breakpoint and every slope must be finite. Offsets are chosen so
     /// the log-density is continuous across breakpoints, anchored at
     /// `log f(lower) = 0`. Breakpoints outside `(lower, upper)` are clamped
     /// away (their segments become empty and are dropped) — this is what
@@ -273,12 +363,12 @@ impl PiecewiseExpDensity {
 
     /// Log normalizing constant of the unnormalized density.
     pub fn log_norm(&self) -> f64 {
-        self.log_norm
+        self.peak + self.total.ln()
     }
 
     /// Probability mass of segment `i`.
     pub fn segment_prob(&self, i: usize) -> f64 {
-        (self.log_masses[i] - self.log_norm).exp()
+        self.pieces[i].mass / self.total
     }
 
     /// Lower end of the support.
@@ -293,10 +383,11 @@ impl PiecewiseExpDensity {
 
     /// Normalized log-density at `x` (`-inf` outside the support).
     pub fn log_pdf(&self, x: f64) -> f64 {
-        log_pdf_segments(&self.segments, self.log_norm, x)
+        log_pdf_segments(&self.segments, self.log_norm(), x)
     }
 
-    /// CDF at `x`, evaluated by summing full and partial segment masses.
+    /// CDF at `x`, evaluated in log space by summing full and partial
+    /// segment masses.
     pub fn cdf(&self, x: f64) -> f64 {
         let mut parts = Vec::with_capacity(self.segments.len());
         for seg in &self.segments {
@@ -306,28 +397,21 @@ impl PiecewiseExpDensity {
                 parts.push(log_int_exp_linear(seg.offset, seg.slope, seg.lo, x));
             }
         }
-        (log_sum_exp(&parts) - self.log_norm).exp()
+        (log_sum_exp(&parts) - self.log_norm()).exp()
     }
 
-    /// Quantile function for `p ∈ [0, 1)`.
+    /// Quantile function for `p ∈ [0, 1)`: the map [`Self::sample`]
+    /// applies to its one uniform.
     pub fn inv_cdf(&self, p: f64) -> f64 {
         debug_assert!((0.0..1.0).contains(&p));
-        let mut acc = 0.0;
-        for (i, seg) in self.segments.iter().enumerate() {
-            let w = self.segment_prob(i);
-            if acc + w >= p || i + 1 == self.segments.len() {
-                let rel = ((p - acc) / w).clamp(0.0, 1.0);
-                return segment_inv_cdf(seg, rel);
-            }
-            acc += w;
-        }
-        self.support_lo()
+        quantile(&self.segments, &self.pieces, self.total, p)
     }
 
-    /// Draws one sample: chooses a segment proportionally to its mass, then
-    /// inverts the within-segment (truncated-)exponential CDF.
+    /// Draws one sample from one uniform: the uniform picks a segment in
+    /// proportion to its mass, and its offset into that segment's mass
+    /// inverts the segment's (truncated-)exponential CDF.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        sample_segments(&self.segments, &self.probs, rng)
+        quantile(&self.segments, &self.pieces, self.total, rng.random())
     }
 }
 
@@ -359,9 +443,9 @@ impl PiecewiseExpDensity {
 #[derive(Debug, Clone, Default)]
 pub struct PiecewiseScratch {
     segments: Vec<Segment>,
-    log_masses: Vec<f64>,
-    probs: Vec<f64>,
-    log_norm: f64,
+    pieces: Vec<Piece>,
+    peak: f64,
+    total: f64,
 }
 
 impl PiecewiseScratch {
@@ -382,21 +466,17 @@ impl PiecewiseScratch {
         slopes: &[f64],
     ) -> Result<(), StatsError> {
         self.segments.clear();
-        self.log_masses.clear();
-        self.probs.clear();
         let build = push_continuous_segments(lower, upper, breaks, slopes, &mut self.segments)
-            .and_then(|()| {
-                finalize_segments(&mut self.segments, &mut self.log_masses, &mut self.probs)
-            });
+            .and_then(|()| finalize_segments(&mut self.segments, &mut self.pieces));
         match build {
-            Ok(log_norm) => {
-                self.log_norm = log_norm;
+            Ok((peak, total)) => {
+                self.peak = peak;
+                self.total = total;
                 Ok(())
             }
             Err(e) => {
                 self.segments.clear();
-                self.log_masses.clear();
-                self.probs.clear();
+                self.pieces.clear();
                 Err(e)
             }
         }
@@ -410,16 +490,17 @@ impl PiecewiseScratch {
 
     /// Log normalizing constant of the current density.
     pub fn log_norm(&self) -> f64 {
-        self.log_norm
+        self.peak + self.total.ln()
     }
 
     /// Normalized log-density at `x` (`-inf` outside the support).
     pub fn log_pdf(&self, x: f64) -> f64 {
-        log_pdf_segments(&self.segments, self.log_norm, x)
+        log_pdf_segments(&self.segments, self.log_norm(), x)
     }
 
-    /// Draws one sample from the current density; RNG consumption is
-    /// identical to [`PiecewiseExpDensity::sample`].
+    /// Draws one sample from the current density with one uniform; RNG
+    /// consumption and result bits are identical to
+    /// [`PiecewiseExpDensity::sample`].
     ///
     /// # Panics
     ///
@@ -429,26 +510,7 @@ impl PiecewiseScratch {
             !self.segments.is_empty(),
             "PiecewiseScratch::sample called before a successful rebuild"
         );
-        sample_segments(&self.segments, &self.probs, rng)
-    }
-}
-
-/// Within-segment quantile: density ∝ `exp(slope·x)` on `[lo, hi)`.
-fn segment_inv_cdf(seg: &Segment, p: f64) -> f64 {
-    let w = seg.width();
-    if seg.hi == f64::INFINITY {
-        // Pure exponential tail with rate |slope|.
-        return seg.lo + -(-p).ln_1p() / -seg.slope;
-    }
-    if seg.slope == 0.0 || (seg.slope.abs() * w) < 1e-12 {
-        return seg.lo + p * w;
-    }
-    if seg.slope < 0.0 {
-        let t = TruncatedExp::new(-seg.slope, w).expect("validated segment"); // qni-lint: allow(QNI-E002) — segment slope and width were validated when the density was built
-        seg.lo + t.inv_cdf(p)
-    } else {
-        let t = TruncatedExp::new(seg.slope, w).expect("validated segment"); // qni-lint: allow(QNI-E002) — segment slope and width were validated when the density was built
-        seg.hi - t.inv_cdf(1.0 - p)
+        quantile(&self.segments, &self.pieces, self.total, rng.random())
     }
 }
 
@@ -661,5 +723,71 @@ mod tests {
         assert_eq!(d.log_pdf(-0.1), f64::NEG_INFINITY);
         assert_eq!(d.log_pdf(1.1), f64::NEG_INFINITY);
         assert!((d.log_pdf(0.5) - 0.0).abs() < 1e-12); // Uniform on [0,1).
+    }
+
+    #[test]
+    fn rejects_non_finite_inputs() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut scratch = PiecewiseScratch::new();
+        let cases: &[(f64, f64, &[f64], &[f64])] = &[
+            (nan, 1.0, &[], &[-1.0]),
+            (-inf, 1.0, &[], &[-1.0]),
+            (0.0, nan, &[], &[-1.0]),
+            (0.0, 2.0, &[nan], &[-1.0, 1.0]),
+            (0.0, 2.0, &[inf], &[-1.0, 1.0]),
+            (0.0, 2.0, &[], &[nan]),
+            (0.0, inf, &[1.0], &[-1.0, nan]),
+            (0.0, 2.0, &[1.0], &[-inf, 1.0]),
+        ];
+        for &(lo, hi, breaks, slopes) in cases {
+            let err = PiecewiseExpDensity::continuous_from_slopes(lo, hi, breaks, slopes)
+                .expect_err("non-finite input");
+            let bad_bounds = !lo.is_finite() || hi.is_nan();
+            assert!(
+                matches!(
+                    (&err, bad_bounds),
+                    (StatsError::BadInterval { .. }, true)
+                        | (StatsError::BadParameter { .. }, false)
+                ),
+                "[{lo}, {hi}] {breaks:?} {slopes:?}: {err:?}"
+            );
+            assert!(scratch.rebuild_continuous(lo, hi, breaks, slopes).is_err());
+            assert!(scratch.segments().is_empty());
+        }
+        // An infinite upper bound is a tail, not an error.
+        scratch
+            .rebuild_continuous(0.0, inf, &[1.0], &[0.5, -2.0])
+            .expect("tail");
+        assert_eq!(scratch.segments().len(), 2);
+    }
+
+    #[test]
+    fn log_norm_matches_the_log_space_sum() {
+        let cases: &[(f64, f64, &[f64], &[f64])] = &[
+            (0.0, 3.0, &[1.0, 2.0], &[1.0, 0.0, -2.0]),
+            (1800.0, 1800.5, &[1800.2], &[1000.0, -1000.0]),
+            (
+                1800.0,
+                f64::INFINITY,
+                &[1800.1, 1801.0],
+                &[-700.0, 900.0, -0.5],
+            ),
+            (0.0, 1.0, &[0.5], &[1e-13, -1e-13]),
+        ];
+        for &(lo, hi, breaks, slopes) in cases {
+            let d = PiecewiseExpDensity::continuous_from_slopes(lo, hi, breaks, slopes).unwrap();
+            let log_masses: Vec<f64> = d.segments().iter().map(Segment::log_mass).collect();
+            let oracle = log_sum_exp(&log_masses);
+            let tol = 1e-12 * oracle.abs().max(1.0);
+            assert!(
+                (d.log_norm() - oracle).abs() < tol,
+                "{} vs {oracle}",
+                d.log_norm()
+            );
+            for (i, lm) in log_masses.iter().enumerate() {
+                let p = (lm - oracle).exp();
+                assert!((d.segment_prob(i) - p).abs() < 1e-12, "segment {i}");
+            }
+        }
     }
 }

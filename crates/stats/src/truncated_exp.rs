@@ -9,8 +9,9 @@ use crate::error::StatsError;
 use rand::Rng;
 
 /// Below this value of `rate · width`, the truncated exponential is
-/// numerically indistinguishable from uniform and is sampled as such.
-const UNIFORM_REGIME: f64 = 1e-12;
+/// numerically indistinguishable from uniform and is sampled as such
+/// (here and in [`crate::piecewise`]'s flat segments).
+pub(crate) const UNIFORM_REGIME: f64 = 1e-12;
 
 /// Exponential distribution with rate `rate`, truncated to `(0, width)`.
 ///

@@ -14,9 +14,6 @@
 //!   inverse-CDF conditioning on the count);
 //! - the same load-balancer skew: one web server receives ≈ 19 requests,
 //!   so its estimates are unstable — the effect Figure 5 calls out.
-//!
-//! See `DESIGN.md` ("Substitutions") for why this preserves the behaviour
-//! the paper evaluates.
 
 pub mod config;
 pub mod ramp;
