@@ -18,9 +18,11 @@
 //!   front. When the live file is polluted (`--bad-lines`) or rotated
 //!   (`--rotate-every`), the mirror is what `qni stream` replays for
 //!   the fingerprint comparison.
-//! - `--bad-lines N`: inject one malformed line after each of the
-//!   first N chunks (excluded from the mirror) — exercises the
-//!   watcher's `--max-bad-lines` quarantine.
+//! - `--bad-lines N`: inject one bad line after each of the first N
+//!   chunks (excluded from the mirror), cycling through four kinds a
+//!   reader must reject: broken JSON, a record with a non-finite time,
+//!   a record with a repeated key, and a record missing a key —
+//!   exercises the watcher's `--max-bad-lines` quarantine.
 //! - `--rotate-every N`: copytruncate the live file after every N
 //!   chunks (post-sleep, so a paced watcher has caught up) — exercises
 //!   `--follow-rotations on`.
@@ -33,7 +35,7 @@
 
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
-use qni_trace::record::to_records;
+use qni_trace::record::{to_records, write_record};
 use qni_trace::ObservationScheme;
 use std::collections::HashMap;
 use std::io::Write;
@@ -58,6 +60,23 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
         v.parse()
             .unwrap_or_else(|_| panic!("--{key}: bad value `{v}`"))
     })
+}
+
+/// The `n`-th injected bad line. The kinds cycle: broken JSON, then three
+/// well-formed objects a reader must still reject — a non-finite time, a
+/// repeated key, a missing key.
+fn bad_line(n: usize) -> String {
+    const FLAGS: &str = "\"arrival_observed\":true,\"departure_observed\":true";
+    match n % 4 {
+        0 => format!("{{\"corrupt\": {n}\n"),
+        1 => format!(
+            "{{\"task\":0,\"state\":1,\"queue\":1,\"arrival\":1e400,\"departure\":1.0,{FLAGS}}}\n"
+        ),
+        2 => format!(
+            "{{\"task\":0,\"task\":0,\"state\":1,\"queue\":1,\"arrival\":0.5,\"departure\":1.0,{FLAGS}}}\n"
+        ),
+        _ => "{\"task\":0,\"state\":1,\"queue\":1,\"arrival\":0.5,\"departure\":1.0}\n".to_owned(),
+    }
 }
 
 fn main() {
@@ -97,9 +116,7 @@ fn main() {
         if rec.event.is_initial() || task_lines.is_empty() {
             task_lines.push(Vec::new());
         }
-        let line = task_lines.last_mut().expect("pushed above");
-        serde_json::to_writer(&mut *line, rec).expect("serialize record");
-        line.push(b'\n');
+        write_record(task_lines.last_mut().expect("pushed above"), rec);
     }
 
     let bad_lines = get(&flags, "bad-lines", 0_usize);
@@ -136,10 +153,10 @@ fn main() {
         std::thread::sleep(std::time::Duration::from_millis(1));
         file.write_all(&bytes[mid..]).expect("append chunk");
         if injected_bad < bad_lines {
-            // A malformed line between complete tasks: valid UTF-8,
-            // broken JSON — the quarantine path, not the assembler's.
-            let junk = format!("{{\"corrupt\": {injected_bad}\n");
-            file.write_all(junk.as_bytes()).expect("append bad line");
+            // A bad line between complete tasks: valid UTF-8, so it takes
+            // the quarantine path, not the assembler's.
+            file.write_all(bad_line(injected_bad).as_bytes())
+                .expect("append bad line");
             injected_bad += 1;
         }
         file.flush().expect("flush");

@@ -32,12 +32,6 @@ pub fn initialize(
     add_constraints(&log, &slots, &mut sys)?;
     fix_observed(masked, &log, &slots, &mut sys)?;
     let sol = sys.solve()?;
-    let order = sys.topo_order()?;
-    // Predecessor lists for the forward sweep.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
-    for &(u, v) in sys.edges() {
-        preds[v].push(u);
-    }
     let mut value = vec![f64::NAN; slots.len()];
     let mut fixed = vec![false; slots.len()];
     for e in log.event_ids() {
@@ -50,7 +44,7 @@ pub fn initialize(
             fixed[slots.departure_slot(&log, e)] = true;
         }
     }
-    for &v in &order {
+    for &v in &sol.order {
         if fixed[v] {
             // Observed value survives scrubbing; read it back.
             // (min == max == the observation for fixed slots.)
@@ -58,7 +52,12 @@ pub fn initialize(
             slots.write(&mut log, v, value[v]);
             continue;
         }
-        let lower_now = preds[v].iter().map(|&u| value[u]).fold(0.0f64, f64::max);
+        let lower_now = sol
+            .preds
+            .of(v)
+            .iter()
+            .map(|&u| value[u])
+            .fold(0.0f64, f64::max);
         let x = if use_targets {
             let desired = desired_value(&log, &slots, rates, warm, v);
             desired.clamp(lower_now, sol.max[v])

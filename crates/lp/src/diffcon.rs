@@ -44,6 +44,52 @@ pub struct DiffSolution {
     pub min: Vec<f64>,
     /// Largest feasible value per variable (`+inf` when unbounded).
     pub max: Vec<f64>,
+    /// The topological order the passes walked (see
+    /// [`DiffSystem::topo_order`]).
+    pub order: Vec<usize>,
+    /// Each variable's predecessors `u` (edges `x_u ≤ x_v`), in edge
+    /// insertion order.
+    pub preds: Adjacency,
+}
+
+/// Per-vertex neighbour lists of a graph on `0..n`, stored flat: the
+/// neighbours of `v` are `targets[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Groups `(from, to)` pairs by `from`, keeping each group in pair
+    /// order.
+    fn group<I>(n: usize, pairs: I) -> Self
+    where
+        I: DoubleEndedIterator<Item = (usize, usize)> + Clone,
+    {
+        // Count each vertex's pairs, turn the counts into group ends, then
+        // fill every group back to front so the ends become starts.
+        let mut offsets = vec![0usize; n + 1];
+        for (from, _) in pairs.clone() {
+            offsets[from] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut targets = vec![0usize; end];
+        for (from, to) in pairs.rev() {
+            offsets[from] -= 1;
+            targets[offsets[from]] = to;
+        }
+        Adjacency { offsets, targets }
+    }
+
+    /// The neighbours of `v`.
+    pub fn of(&self, v: usize) -> &[usize] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 impl DiffSystem {
@@ -118,7 +164,8 @@ impl DiffSystem {
     /// has a cycle and [`LpError::Infeasible`] if bounds/fixed values
     /// conflict.
     pub fn solve(&self) -> Result<DiffSolution, LpError> {
-        let order = self.topo_order()?;
+        let (succs, preds) = self.adjacency();
+        let order = kahn(&succs, &preds)?;
         // Effective bounds: fixed values collapse the box.
         let mut lo = self.lower.clone();
         let mut hi = self.upper.clone();
@@ -131,16 +178,11 @@ impl DiffSystem {
                 hi[v] = f;
             }
         }
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            succs[u].push(v);
-            preds[v].push(u);
-        }
         // Forward pass: minimal values.
         let mut min = vec![0.0f64; self.n];
         for &v in &order {
-            let from_preds = preds[v]
+            let from_preds = preds
+                .of(v)
                 .iter()
                 .map(|&u| min[u])
                 .fold(f64::NEG_INFINITY, f64::max);
@@ -159,7 +201,8 @@ impl DiffSystem {
         // Backward pass: maximal values.
         let mut max = vec![f64::INFINITY; self.n];
         for &v in order.iter().rev() {
-            let from_succs = succs[v]
+            let from_succs = succs
+                .of(v)
                 .iter()
                 .map(|&u| max[u])
                 .fold(f64::INFINITY, f64::min);
@@ -175,7 +218,12 @@ impl DiffSystem {
                 return Err(LpError::Infeasible);
             }
         }
-        Ok(DiffSolution { min, max })
+        Ok(DiffSolution {
+            min,
+            max,
+            order,
+            preds,
+        })
     }
 
     /// The precedence edges `(u, v)` meaning `x_u ≤ x_v`.
@@ -184,30 +232,41 @@ impl DiffSystem {
     }
 
     /// A topological order of the precedence graph (Kahn's algorithm);
-    /// errors on cycles.
+    /// errors on cycles. [`DiffSystem::solve`] walks the same order.
     pub fn topo_order(&self) -> Result<Vec<usize>, LpError> {
-        let mut indeg = vec![0usize; self.n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            succs[u].push(v);
-            indeg[v] += 1;
-        }
-        let mut stack: Vec<usize> = (0..self.n).filter(|&v| indeg[v] == 0).collect();
-        let mut order = Vec::with_capacity(self.n);
-        while let Some(v) = stack.pop() {
-            order.push(v);
-            for &s in &succs[v] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    stack.push(s);
-                }
+        let (succs, preds) = self.adjacency();
+        kahn(&succs, &preds)
+    }
+
+    /// The successor and predecessor lists, each in edge insertion order.
+    fn adjacency(&self) -> (Adjacency, Adjacency) {
+        (
+            Adjacency::group(self.n, self.edges.iter().copied()),
+            Adjacency::group(self.n, self.edges.iter().map(|&(u, v)| (v, u))),
+        )
+    }
+}
+
+/// Kahn's algorithm with a stack seeded by the sources in index order,
+/// visiting successors in edge insertion order.
+fn kahn(succs: &Adjacency, preds: &Adjacency) -> Result<Vec<usize>, LpError> {
+    let n = succs.offsets.len() - 1;
+    let mut indeg: Vec<usize> = (0..n).map(|v| preds.of(v).len()).collect();
+    let mut stack: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(v) = stack.pop() {
+        order.push(v);
+        for &s in succs.of(v) {
+            indeg[s] -= 1;
+            if indeg[s] == 0 {
+                stack.push(s);
             }
         }
-        if order.len() != self.n {
-            return Err(LpError::CyclicConstraints);
-        }
-        Ok(order)
     }
+    if order.len() != n {
+        return Err(LpError::CyclicConstraints);
+    }
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -321,6 +380,119 @@ mod tests {
             }
             for v in 0..n {
                 assert!(sol.min[v] <= sol.max[v] + 1e-12);
+            }
+        }
+    }
+
+    /// The least and greatest completions by naive fixed-point relaxation
+    /// over the edge list, or `None` when the least one breaks a bound or
+    /// an edge into a fixed variable (then no completion exists).
+    fn relax(
+        edges: &[(usize, usize)],
+        lower: &[f64],
+        upper: &[f64],
+        fixed: &[Option<f64>],
+    ) -> Option<(Vec<f64>, Vec<f64>)> {
+        let n = lower.len();
+        let lo: Vec<f64> = (0..n).map(|v| fixed[v].unwrap_or(lower[v])).collect();
+        let hi: Vec<f64> = (0..n).map(|v| fixed[v].unwrap_or(upper[v])).collect();
+        let (mut min, mut max) = (lo.clone(), hi.clone());
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(u, v) in edges {
+                if fixed[v].is_none() && min[u] > min[v] {
+                    min[v] = min[u];
+                    changed = true;
+                }
+                if fixed[u].is_none() && max[v] < max[u] {
+                    max[u] = max[v];
+                    changed = true;
+                }
+            }
+        }
+        let feasible = (0..n).all(|v| lower[v] <= lo[v] && hi[v] <= upper[v] && min[v] <= hi[v])
+            && edges.iter().all(|&(u, v)| min[u] <= min[v]);
+        feasible.then_some((min, max))
+    }
+
+    /// A random DAG on `n` variables (edges follow a random ranking,
+    /// inserted in random order) with some variables fixed and some
+    /// bounded, all on a quarter grid so no tolerance is ever in play.
+    fn random_system(rng: &mut proptest::TestRng) -> DiffSystem {
+        let n = 1 + rng.below(12) as usize;
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rank.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let density = rng.unit_f64() * 0.5;
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.unit_f64() < density {
+                    edges.push((rank[a], rank[b]));
+                }
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut sys = DiffSystem::new(n);
+        for &(u, v) in &edges {
+            sys.le(u, v).unwrap();
+        }
+        let grid = |rng: &mut proptest::TestRng| rng.below(40) as f64 / 4.0;
+        for v in 0..n {
+            if rng.unit_f64() < 0.3 {
+                sys.fix(v, grid(rng)).unwrap();
+            }
+            if rng.unit_f64() < 0.15 {
+                sys.set_lower(v, grid(rng)).unwrap();
+            }
+            if rng.unit_f64() < 0.15 {
+                sys.set_upper(v, grid(rng)).unwrap();
+            }
+        }
+        sys
+    }
+
+    proptest::proptest! {
+        /// `solve` agrees bit for bit with naive relaxation on random
+        /// DAGs, walks a valid topological order, and still reports a
+        /// cycle once one edge is reversed.
+        #[test]
+        fn solve_matches_naive_relaxation(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            let sys = random_system(&mut rng);
+            let order = sys.topo_order().unwrap();
+            let mut pos = vec![usize::MAX; sys.len()];
+            for (i, &v) in order.iter().enumerate() {
+                pos[v] = i;
+            }
+            proptest::prop_assert!(pos.iter().all(|&p| p < sys.len()), "not a permutation");
+            for &(u, v) in sys.edges() {
+                proptest::prop_assert!(pos[u] < pos[v], "edge {u}->{v} out of order");
+            }
+            match (sys.solve(), relax(&sys.edges, &sys.lower, &sys.upper, &sys.fixed)) {
+                (Ok(sol), Some((min, max))) => {
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    proptest::prop_assert_eq!(bits(&sol.min), bits(&min));
+                    proptest::prop_assert_eq!(bits(&sol.max), bits(&max));
+                    proptest::prop_assert_eq!(&sol.order, &order);
+                    for v in 0..sys.len() {
+                        let preds: Vec<usize> =
+                            sys.edges().iter().filter(|e| e.1 == v).map(|e| e.0).collect();
+                        proptest::prop_assert_eq!(sol.preds.of(v), &preds[..]);
+                    }
+                }
+                (Err(LpError::Infeasible), None) => {}
+                (got, want) => proptest::prop_assert!(false, "solve {got:?}, relaxation {want:?}"),
+            }
+            if let Some(&(u, v)) = sys.edges().first() {
+                let mut cyclic = sys.clone();
+                cyclic.le(v, u).unwrap();
+                proptest::prop_assert_eq!(cyclic.solve(), Err(LpError::CyclicConstraints));
+                proptest::prop_assert_eq!(cyclic.topo_order(), Err(LpError::CyclicConstraints));
             }
         }
     }

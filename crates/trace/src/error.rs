@@ -1,5 +1,7 @@
 //! Error type for the trace layer.
 
+use qni_model::ids::TaskId;
+use qni_model::ModelError;
 use std::fmt;
 
 /// Errors raised by observation and serialization utilities.
@@ -26,6 +28,14 @@ pub enum TraceError {
     Io(std::io::Error),
     /// A serialization error.
     Serde(serde_json::Error),
+    /// Trace records describe a log the model rejects (a task with no
+    /// visit, say).
+    Model(ModelError),
+    /// A task's records lack its `q0` system-entry record.
+    MissingEntry {
+        /// The task.
+        task: TaskId,
+    },
     /// Mask and log shapes disagree.
     ShapeMismatch {
         /// Expected number of events.
@@ -90,6 +100,10 @@ impl fmt::Display for TraceError {
             }
             TraceError::Io(e) => write!(f, "I/O error: {e}"),
             TraceError::Serde(e) => write!(f, "serialization error: {e}"),
+            TraceError::Model(e) => write!(f, "{e}"),
+            TraceError::MissingEntry { task } => {
+                write!(f, "task {task} has no q0 (system-entry) record")
+            }
             TraceError::ShapeMismatch { expected, actual } => {
                 write!(f, "mask covers {actual} events, log has {expected}")
             }
@@ -136,9 +150,9 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceError::Serde(e)
+impl From<ModelError> for TraceError {
+    fn from(e: ModelError) -> Self {
+        TraceError::Model(e)
     }
 }
 

@@ -43,7 +43,7 @@
 //! deterministic transient failures.
 
 use crate::error::TraceError;
-use crate::record::TraceRecord;
+use crate::record::{decode_line, RecordError, TraceRecord};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -68,8 +68,18 @@ pub enum LineOutcome {
     Record(TraceRecord),
     /// The line was blank (skipped, matching [`crate::record::read_jsonl`]).
     Blank,
-    /// The line failed UTF-8 validation or JSON parsing.
-    Bad(String),
+    /// The line was rejected (see [`crate::record`] for what is accepted).
+    Bad(RecordError),
+}
+
+impl LineOutcome {
+    fn of(line: &[u8]) -> Self {
+        match decode_line(line) {
+            Ok(Some(rec)) => LineOutcome::Record(rec),
+            Ok(None) => LineOutcome::Blank,
+            Err(e) => LineOutcome::Bad(e),
+        }
+    }
 }
 
 /// One line completed by [`LineAssembler::drain`], with the byte length
@@ -110,23 +120,28 @@ impl LineAssembler {
     /// blank, or bad — without failing on the bad ones. The caller
     /// decides quarantine policy; [`LineAssembler::push`] is the
     /// fail-fast wrapper.
+    ///
+    /// Lines are parsed where they lie in `chunk`; only a line split
+    /// across chunks is copied, into the reused pending buffer.
     pub fn drain(&mut self, chunk: &[u8]) -> Vec<DrainedLine> {
         let mut out = Vec::new();
         let mut rest = chunk;
         while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            self.pending.extend_from_slice(&rest[..nl]);
+            let line = &rest[..nl];
             rest = &rest[nl + 1..];
-            let line = std::mem::take(&mut self.pending);
-            let len = line.len() + 1;
-            let outcome = match std::str::from_utf8(&line) {
-                Err(_) => LineOutcome::Bad("trace line is not valid UTF-8".to_string()),
-                Ok(text) if text.trim().is_empty() => LineOutcome::Blank,
-                Ok(text) => match serde_json::from_str(text) {
-                    Ok(rec) => LineOutcome::Record(rec),
-                    Err(e) => LineOutcome::Bad(e.to_string()),
-                },
-            };
-            out.push(DrainedLine { outcome, len });
+            if self.pending.is_empty() {
+                out.push(DrainedLine {
+                    outcome: LineOutcome::of(line),
+                    len: nl + 1,
+                });
+            } else {
+                self.pending.extend_from_slice(line);
+                out.push(DrainedLine {
+                    outcome: LineOutcome::of(&self.pending),
+                    len: self.pending.len() + 1,
+                });
+                self.pending.clear();
+            }
         }
         self.pending.extend_from_slice(rest);
         out
@@ -143,12 +158,12 @@ impl LineAssembler {
             match done.outcome {
                 LineOutcome::Record(rec) => out.push(rec),
                 LineOutcome::Blank => {}
-                LineOutcome::Bad(message) => {
+                LineOutcome::Bad(e) => {
                     return Err(TraceError::BadLine {
                         path: "<stream>".to_string(),
                         line: i as u64 + 1,
                         offset,
-                        message,
+                        message: e.to_string(),
                     });
                 }
             }
@@ -514,13 +529,13 @@ impl TailReader {
             match done.outcome {
                 LineOutcome::Record(rec) => out.push(rec),
                 LineOutcome::Blank => {}
-                LineOutcome::Bad(message) => {
+                LineOutcome::Bad(e) => {
                     if self.stats.bad_lines >= self.opts.max_bad_lines {
                         return Err(TraceError::BadLine {
                             path: self.source.label(),
                             line: self.line_number,
                             offset: line_start,
-                            message,
+                            message: e.to_string(),
                         });
                     }
                     self.stats.bad_lines += 1;

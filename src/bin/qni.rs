@@ -159,7 +159,13 @@ fn load_masked(flags: &HashMap<String, String>) -> Result<MaskedLog, String> {
     let path = flags.get("trace").ok_or("requires --trace FILE")?;
     let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
     let records =
-        qni::trace::record::read_jsonl(std::io::BufReader::new(file)).map_err(|e| e.to_string())?;
+        qni::trace::record::read_jsonl(std::io::BufReader::new(file)).map_err(|mut e| {
+            // The reader does not know the file; name it in the error.
+            if let qni::trace::TraceError::BadLine { path: p, .. } = &mut e {
+                p.clone_from(path);
+            }
+            e.to_string()
+        })?;
     let num_queues = records
         .iter()
         .map(|r| r.event.queue.index() + 1)

@@ -102,6 +102,77 @@ fn simulate_then_infer_round_trip() {
     assert!(stdout.contains("bottleneck ranking"), "stdout: {stdout}");
 }
 
+/// A bad trace line fails `infer` naming the file, the 1-based line, the
+/// line's byte offset and the byte within the line; a malformed task
+/// fails with the task's id.
+#[test]
+fn infer_locates_bad_lines_and_names_malformed_tasks() {
+    let dir = std::env::temp_dir().join("qni-cli-bad-trace-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let trace = dir.join("trace.jsonl");
+    let out = qni()
+        .args([
+            "simulate",
+            "--tiers",
+            "1,1",
+            "--lambda",
+            "4",
+            "--mu",
+            "6",
+            "--tasks",
+            "30",
+            "--seed",
+            "9",
+            "--out",
+            trace.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("run simulate");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).expect("read trace");
+    let lines: Vec<&str> = text.lines().collect();
+    let infer_stderr = |name: &str, body: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, body).expect("write trace");
+        let out = qni()
+            .args(["infer", "--trace", path.to_str().expect("utf8 path")])
+            .output()
+            .expect("run infer");
+        assert!(!out.status.success());
+        (path, String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+
+    // Line 6 ends in junk.
+    let mut junk: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+    junk[5].push_str(" junk");
+    let (path, stderr) = infer_stderr("junk.jsonl", junk.join("\n") + "\n");
+    let offset: usize = lines[..5].iter().map(|l| l.len() + 1).sum();
+    let want = format!(
+        "error: bad trace line 6 (byte offset {offset}) in {}: trailing characters at byte {}",
+        path.display(),
+        lines[5].len() + 1
+    );
+    assert!(stderr.starts_with(&want), "stderr: {stderr}");
+
+    // Task 1 cut to its q0 record, then task 1 without its q0 record.
+    let task1 = lines
+        .iter()
+        .position(|l| l.starts_with("{\"task\":1,"))
+        .expect("task 1");
+    let (_, stderr) = infer_stderr("cut.jsonl", lines[..=task1].join("\n"));
+    assert!(
+        stderr.contains("task k1 has an empty path"),
+        "stderr: {stderr}"
+    );
+    let mut no_entry = lines.clone();
+    no_entry.remove(task1);
+    let (_, stderr) = infer_stderr("no_entry.jsonl", no_entry.join("\n"));
+    assert!(
+        stderr.contains("task k1 has no q0 (system-entry) record"),
+        "stderr: {stderr}"
+    );
+}
+
 #[test]
 fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
     let dir = std::env::temp_dir().join("qni-cli-batch-test");
