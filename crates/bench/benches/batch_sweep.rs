@@ -2,9 +2,9 @@
 //! sweep vs the scalar sweep on the same state, per topology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qni_core::gibbs::sweep::{sweep, sweep_batched};
+use qni_core::gibbs::sweep::{sweep, sweep_with_opts_pooled};
 use qni_core::init::InitStrategy;
-use qni_core::GibbsState;
+use qni_core::{BatchMode, GibbsState, ShardMode};
 use qni_model::topology::{tandem, three_tier, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -53,7 +53,16 @@ fn bench_batched_vs_scalar(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batched", name), &state, |b, st| {
             let mut st = st.clone();
             let mut rng = rng_from_seed(3);
-            b.iter(|| sweep_batched(&mut st, &mut rng).expect("sweep"));
+            b.iter(|| {
+                sweep_with_opts_pooled(
+                    &mut st,
+                    BatchMode::Grouped,
+                    ShardMode::Serial,
+                    None,
+                    &mut rng,
+                )
+                .expect("sweep")
+            });
         });
     }
     group.finish();

@@ -1,12 +1,13 @@
 //! Criterion benches for the intra-trace sharded sweep engine: the same
-//! giant-trace batched sweep at shard counts {1, 2, 4}. On a 1-core
-//! host the sharded points measure spawn overhead only; the
-//! `shard_speedup` binary is the tracked experiment.
+//! giant-trace batched sweep at shard counts {1, 2, 4}, each sharded
+//! count fanning out on a wave pool of its size. On a 1-core host the
+//! sharded points measure dispatch overhead only; the `shard_speedup`
+//! binary is the tracked experiment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qni_core::gibbs::sweep::sweep_batched_sharded;
+use qni_core::gibbs::sweep::sweep_with_opts_pooled;
 use qni_core::init::InitStrategy;
-use qni_core::{GibbsState, ShardMode};
+use qni_core::{BatchMode, GibbsState, ShardMode, WavePool};
 use qni_model::topology::{tandem, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -40,9 +41,16 @@ fn bench_sharded_sweep(c: &mut Criterion) {
             |b, &shards| {
                 let mut st = state.clone();
                 let mut rng = rng_from_seed(3);
+                let mut pool = WavePool::new(shards);
                 b.iter(|| {
-                    sweep_batched_sharded(&mut st, ShardMode::Sharded(shards), &mut rng)
-                        .expect("sweep")
+                    sweep_with_opts_pooled(
+                        &mut st,
+                        BatchMode::Grouped,
+                        ShardMode::Sharded(shards),
+                        Some(&mut pool),
+                        &mut rng,
+                    )
+                    .expect("sweep")
                 });
             },
         );

@@ -11,10 +11,10 @@
 //! anti-regression gate (`QNI_BATCH_GATE`, checked on the tandem-3
 //! point).
 
-use qni_core::gibbs::sweep::{sweeps_with_mode, BatchMode};
+use qni_core::gibbs::sweep::{sweep_with_opts_pooled, BatchMode};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, StemOptions};
-use qni_core::GibbsState;
+use qni_core::{GibbsState, ShardMode};
 use qni_model::topology::{single_queue, tandem, three_tier, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -166,11 +166,23 @@ fn probe_fallbacks(masked: &MaskedLog, w: &BatchWorkload) -> f64 {
     let rates = qni_core::stem::heuristic_rates(masked);
     let mut state = GibbsState::new(masked, rates, InitStrategy::default()).expect("state");
     let mut rng = rng_from_seed(w.seed ^ 0x5eed);
-    let stats = sweeps_with_mode(&mut state, BatchMode::Grouped, 5, &mut rng).expect("sweeps");
-    if stats.arrival_moves == 0 {
+    let (mut moves, mut fallbacks) = (0, 0);
+    for _ in 0..5 {
+        let stats = sweep_with_opts_pooled(
+            &mut state,
+            BatchMode::Grouped,
+            ShardMode::Serial,
+            None,
+            &mut rng,
+        )
+        .expect("sweep");
+        moves += stats.arrival_moves;
+        fallbacks += stats.group_fallbacks;
+    }
+    if moves == 0 {
         0.0
     } else {
-        stats.group_fallbacks as f64 / stats.arrival_moves as f64
+        fallbacks as f64 / moves as f64
     }
 }
 

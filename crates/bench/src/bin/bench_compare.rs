@@ -17,15 +17,15 @@
 //! the fallback for that case.
 //!
 //! Usage:
-//!   bench_compare --kind batch|shard|pool|chains|stream \
+//!   bench_compare --kind batch|shard|chains|stream \
 //!       --current results/BENCH_batch.json \
 //!       (--previous prev/BENCH_batch.json | --history-dir hist [--keep 10]) \
 //!       [--min-ratio 0.75]
 
 use qni_bench::compare::{
-    append_history, batch_metrics, chains_metrics, compare_batch, compare_chains, compare_pool,
-    compare_shard, compare_stream, compare_to_history, history_entries, pool_metrics,
-    shard_metrics, stream_metrics, Metric, Outcome, DEFAULT_KEEP, DEFAULT_MIN_RATIO,
+    append_history, batch_metrics, chains_metrics, compare_batch, compare_chains, compare_shard,
+    compare_stream, compare_to_history, history_entries, shard_metrics, stream_metrics, Metric,
+    Outcome, DEFAULT_KEEP, DEFAULT_MIN_RATIO,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -63,11 +63,10 @@ fn metrics_of(kind: &str, path: &str, what: &str) -> Result<Vec<Metric>, String>
     match kind {
         "batch" => Ok(batch_metrics(&read_report(path, what)?)),
         "shard" => Ok(shard_metrics(&read_report(path, what)?)),
-        "pool" => Ok(pool_metrics(&read_report(path, what)?)),
         "chains" => Ok(chains_metrics(&read_report(path, what)?)),
         "stream" => Ok(stream_metrics(&read_report(path, what)?)),
         other => Err(format!(
-            "--kind must be `batch`, `shard`, `pool`, `chains`, or `stream`, got `{other}`"
+            "--kind must be `batch`, `shard`, `chains`, or `stream`, got `{other}`"
         )),
     }
 }
@@ -112,7 +111,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (Some(kind), Some(current)) = (flag(&args, "--kind"), flag(&args, "--current")) else {
         eprintln!(
-            "usage: bench_compare --kind batch|shard|pool|chains|stream --current FILE \
+            "usage: bench_compare --kind batch|shard|chains|stream --current FILE \
              (--previous FILE | --history-dir DIR [--keep K]) [--min-ratio R]"
         );
         return ExitCode::FAILURE;
@@ -134,11 +133,10 @@ fn main() -> ExitCode {
             match kind.as_str() {
                 "batch" => run_compare(&current, &previous, min_ratio, compare_batch),
                 "shard" => run_compare(&current, &previous, min_ratio, compare_shard),
-                "pool" => run_compare(&current, &previous, min_ratio, compare_pool),
                 "chains" => run_compare(&current, &previous, min_ratio, compare_chains),
                 "stream" => run_compare(&current, &previous, min_ratio, compare_stream),
                 other => Err(format!(
-                    "--kind must be `batch`, `shard`, `pool`, `chains`, or `stream`, got `{other}`"
+                    "--kind must be `batch`, `shard`, `chains`, or `stream`, got `{other}`"
                 )),
             }
         }

@@ -25,7 +25,6 @@
 
 use crate::batch_speedup::BatchSpeedupReport;
 use crate::chain_scaling::ChainScalingReport;
-use crate::pool_speedup::PoolSpeedupReport;
 use crate::shard_speedup::ShardSpeedupReport;
 use crate::stream_tracking::StreamTrackingReport;
 use std::path::{Path, PathBuf};
@@ -112,44 +111,6 @@ pub fn compare_shard(
     if current.host_threads < 2 || previous.host_threads < 2 {
         return Outcome::NoBaseline(format!(
             "shard speedups need a multi-core host (current: {} threads, previous: {})",
-            current.host_threads, previous.host_threads
-        ));
-    }
-    let mut lines = Vec::new();
-    let mut regressed = false;
-    for cur in &current.points {
-        let Some(prev) = previous.points.iter().find(|p| p.name == cur.name) else {
-            lines.push(format!("{}: new workload, no previous point", cur.name));
-            continue;
-        };
-        let (Some(&c), Some(&p)) = (cur.speedup.last(), prev.speedup.last()) else {
-            lines.push(format!("{}: empty speedup vector, skipped", cur.name));
-            continue;
-        };
-        let (ok, line) = check_point(&cur.name, c, p, min_ratio);
-        regressed |= !ok;
-        lines.push(line);
-    }
-    if regressed {
-        Outcome::Regressed(lines)
-    } else {
-        Outcome::Ok(lines)
-    }
-}
-
-/// Compares two `BENCH_pool.json` reports on the max-shard
-/// pooled-over-scoped speedup of every workload present in both.
-/// Skipped when either run was measured on a single-thread host, where
-/// both dispatch modes serialize onto one core and the ratio is noise —
-/// the same rule as [`compare_shard`].
-pub fn compare_pool(
-    current: &PoolSpeedupReport,
-    previous: &PoolSpeedupReport,
-    min_ratio: f64,
-) -> Outcome {
-    if current.host_threads < 2 || previous.host_threads < 2 {
-        return Outcome::NoBaseline(format!(
-            "pool speedups need a multi-core host (current: {} threads, previous: {})",
             current.host_threads, previous.host_threads
         ));
     }
@@ -328,23 +289,6 @@ pub fn shard_metrics(r: &ShardSpeedupReport) -> Vec<Metric> {
         .collect()
 }
 
-/// Headline metrics of a pool-speedup report: per-workload max-shard
-/// pooled-over-scoped speedup. Empty on a single-thread host (the same
-/// rule as [`shard_metrics`]).
-pub fn pool_metrics(r: &PoolSpeedupReport) -> Vec<Metric> {
-    if r.host_threads < 2 {
-        return Vec::new();
-    }
-    r.points
-        .iter()
-        .filter_map(|p| {
-            p.speedup
-                .last()
-                .map(|&s| Metric::speedup(format!("{} (pool, max shards)", p.name), s))
-        })
-        .collect()
-}
-
 /// Headline metric of a chain-scaling report: the largest-K speedup,
 /// keyed by K so runs with different sweep sizes never cross-compare.
 /// Empty on a single-thread host.
@@ -478,7 +422,6 @@ mod tests {
     use super::*;
     use crate::batch_speedup::BatchPoint;
     use crate::chain_scaling::{ChainScalingPoint, ChainWorkload};
-    use crate::pool_speedup::PoolPoint;
     use crate::shard_speedup::ShardPoint;
     use crate::stream_tracking::{FixedSummary, StreamScenario, TrackingSummary};
 
@@ -513,26 +456,6 @@ mod tests {
                 secs: vec![1.0, 0.7, 1.0 / speedup4],
                 speedup: vec![1.0, 1.4, speedup4],
                 deferred_fraction: 0.01,
-                lambda: 2.0,
-            }],
-        }
-    }
-
-    fn pool_report(speedup4: f64, host_threads: usize) -> PoolSpeedupReport {
-        PoolSpeedupReport {
-            bench: "pool_speedup".into(),
-            quick: true,
-            reps: 1,
-            host_threads,
-            points: vec![PoolPoint {
-                name: "tandem3".into(),
-                free_arrivals: 1000,
-                shards: vec![2, 4],
-                scoped_secs: vec![1.0, 1.0],
-                pooled_secs: vec![0.9, 1.0 / speedup4],
-                speedup: vec![1.11, speedup4],
-                scoped_sweep_micros: 900.0,
-                pooled_sweep_micros: 700.0,
                 lambda: 2.0,
             }],
         }
@@ -579,37 +502,6 @@ mod tests {
             out.lines()
         );
         assert!(matches!(out, Outcome::NoBaseline(_)));
-    }
-
-    #[test]
-    fn pool_comparison_checks_max_shard_point_and_skips_single_core() {
-        let out = compare_pool(
-            &pool_report(1.2, 4),
-            &pool_report(1.3, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-        let out = compare_pool(
-            &pool_report(0.6, 4),
-            &pool_report(1.3, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(out.is_regression());
-        let out = compare_pool(
-            &pool_report(0.6, 1),
-            &pool_report(1.3, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(matches!(out, Outcome::NoBaseline(_)));
-    }
-
-    #[test]
-    fn pool_metrics_follow_the_single_core_rule() {
-        assert!(pool_metrics(&pool_report(1.2, 1)).is_empty());
-        let metrics = pool_metrics(&pool_report(1.2, 4));
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].name, "tandem3 (pool, max shards)");
-        assert!(!metrics[0].lower_is_better);
     }
 
     fn chains_report(speedup4: f64, parallelism: usize) -> ChainScalingReport {

@@ -22,10 +22,6 @@
 //!   {1, 2, 4} on giant single-chain traces, emitting
 //!   `BENCH_shard.json` (speedup + deferred-move fraction per
 //!   workload) for the CI gate.
-//! - `pool_speedup` — persistent-pool vs per-wave-scoped dispatch on
-//!   the `shard_speedup` workloads, emitting `BENCH_pool.json`
-//!   (end-to-end speedup + raw per-sweep dispatch timings) for the CI
-//!   gate.
 //! - `stream_tracking` — streaming windowed StEM vs. the fixed-log
 //!   engine on a piecewise-constant workload, emitting
 //!   `BENCH_stream.json` (tracking error + per-window wall time, warm
@@ -42,7 +38,6 @@ pub mod compare;
 pub mod fig4;
 pub mod fig5;
 pub mod jobs;
-pub mod pool_speedup;
 pub mod scaling;
 pub mod shard_speedup;
 pub mod stream_tracking;

@@ -14,13 +14,13 @@
 //! `MIN_EVENTS_PER_WORKER` members, so sharding targets the
 //! one-giant-trace regime the ROADMAP calls out (per-queue waves of
 //! hundreds-to-thousands of events), not the small-trace regime where
-//! thread-spawn overhead would dominate.
+//! the wave pool's dispatch overhead would dominate.
 
 use crate::batch_speedup::BatchWorkload;
-use qni_core::gibbs::sweep::{sweeps_with_opts, BatchMode};
+use qni_core::gibbs::sweep::{sweep_with_opts_pooled, BatchMode};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, StemOptions};
-use qni_core::{GibbsState, ShardMode};
+use qni_core::{GibbsState, ShardMode, WavePool};
 use qni_stats::rng::rng_from_seed;
 use qni_trace::MaskedLog;
 use serde::{Deserialize, Serialize};
@@ -110,25 +110,32 @@ fn time_run(masked: &MaskedLog, w: &BatchWorkload, shards: usize, reps: usize) -
     (best, lambda)
 }
 
-/// Probes the deferred-move fraction on this workload: the share of
-/// batched arrival moves whose prepared conditional a same-wave move
-/// invalidated, forcing the serial-cleanup rebuild.
+/// Probes the deferred-move fraction on this workload over three
+/// two-shard sweeps on a wave pool: the share of batched arrival moves
+/// whose prepared conditional a same-wave move invalidated, forcing the
+/// serial-cleanup rebuild.
 fn probe_deferred(masked: &MaskedLog, w: &BatchWorkload) -> f64 {
     let rates = qni_core::stem::heuristic_rates(masked);
     let mut state = GibbsState::new(masked, rates, InitStrategy::default()).expect("state");
     let mut rng = rng_from_seed(w.seed ^ 0x5eed);
-    let stats = sweeps_with_opts(
-        &mut state,
-        BatchMode::Grouped,
-        ShardMode::Sharded(2),
-        3,
-        &mut rng,
-    )
-    .expect("sweeps");
-    if stats.arrival_moves == 0 {
+    let mut pool = WavePool::new(2);
+    let (mut moves, mut deferred) = (0, 0);
+    for _ in 0..3 {
+        let stats = sweep_with_opts_pooled(
+            &mut state,
+            BatchMode::Grouped,
+            ShardMode::Sharded(2),
+            Some(&mut pool),
+            &mut rng,
+        )
+        .expect("sweep");
+        moves += stats.arrival_moves;
+        deferred += stats.group_fallbacks;
+    }
+    if moves == 0 {
         0.0
     } else {
-        stats.group_fallbacks as f64 / stats.arrival_moves as f64
+        deferred as f64 / moves as f64
     }
 }
 

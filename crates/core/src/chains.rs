@@ -160,41 +160,32 @@ pub struct ParallelStemResult {
 
 /// Runs `opts.chains` independent StEM chains in parallel and pools them.
 ///
-/// Each chain is a full [`crate::stem::run_stem`] invocation on its own
-/// thread (chain 0 on the calling thread, the rest on scoped threads)
-/// with its own derived RNG stream; see the module docs for the seeding
-/// scheme and determinism guarantees. The pooled `rates` average the
-/// chains' post-burn-in means; `diagnostics` reports per-queue split-R̂
-/// (values ≲ 1.05 indicate the chains agree) and pooled effective sample
-/// size. The first chain error, if any, is returned in chain order.
+/// Each chain is a full StEM fit ([`crate::stem::run_stem_warm_in_pool`]
+/// on the chain's own [`crate::gibbs::pool::WavePool`] when the shard
+/// mode fans out) on its own thread (chain 0 on the calling thread, the
+/// rest on scoped threads) with its own derived RNG stream; see the
+/// module docs for the seeding scheme and determinism guarantees. The
+/// pooled `rates` average the chains' post-burn-in means; `diagnostics`
+/// reports per-queue split-R̂ (values ≲ 1.05 indicate the chains agree)
+/// and pooled effective sample size. The first chain error, if any, is
+/// returned in chain order.
 pub fn run_stem_parallel(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     opts: &ParallelStemOptions,
 ) -> Result<ParallelStemResult, InferenceError> {
-    run_stem_parallel_warm(masked, initial_rates, None, opts)
+    run_stem_parallel_warm_in_pools(masked, initial_rates, None, opts, &mut PoolSet::new())
 }
 
 /// [`run_stem_parallel`] with optional warm-start initialization targets
-/// shared by every chain (see [`crate::init::WarmTimes`]). Warm targets
-/// only move each chain's starting point; chain seeds, pooling, and
-/// diagnostics are unchanged.
-pub fn run_stem_parallel_warm(
-    masked: &MaskedLog,
-    initial_rates: Option<&[f64]>,
-    warm: Option<&WarmTimes>,
-    opts: &ParallelStemOptions,
-) -> Result<ParallelStemResult, InferenceError> {
-    let mut pools = PoolSet::new();
-    run_stem_parallel_warm_in_pools(masked, initial_rates, warm, opts, &mut pools)
-}
-
-/// [`run_stem_parallel_warm`] against a caller-owned [`PoolSet`], so
-/// long-lived callers (the streaming engine, watch sessions) can reuse
-/// each chain's persistent [`crate::gibbs::pool::WavePool`] across
-/// windows instead of spawning fresh pool threads per fit. The set is
-/// (re)built lazily for the run's effective chain/shard shape; pool
-/// reuse is byte-neutral (see [`crate::gibbs::pool`]).
+/// shared by every chain (see [`crate::init::WarmTimes`]), against a
+/// caller-owned [`PoolSet`]. Warm targets only move each chain's
+/// starting point; chain seeds, pooling, and diagnostics are unchanged.
+/// Long-lived callers (the streaming engine, watch sessions) reuse each
+/// chain's persistent [`crate::gibbs::pool::WavePool`] across windows
+/// instead of spawning fresh pool threads per fit. The set is (re)built
+/// lazily for the run's effective chain/shard shape; pool reuse is
+/// byte-neutral (see [`crate::gibbs::pool`]).
 pub fn run_stem_parallel_warm_in_pools(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
@@ -212,7 +203,7 @@ pub fn run_stem_parallel_warm_in_pools(
     let mut stem_opts = opts.stem.clone();
     stem_opts.shard = opts.effective_shard();
     let stem_opts = &stem_opts;
-    let slots = pools.ensure(opts.chains, stem_opts.shard, stem_opts.dispatch);
+    let slots = pools.ensure(opts.chains, stem_opts.shard);
     let (leader_slot, rest_slots) = slots.split_at_mut(1);
     let results: Vec<Result<StemResult, InferenceError>> = std::thread::scope(|s| {
         let handles: Vec<_> = chain_seeds[1..]

@@ -1,26 +1,22 @@
 //! Persistent worker pool for sharded wave preparation.
 //!
 //! [`crate::gibbs::shard`] fans each sufficiently large red-black wave's
-//! draw-free prepare phase out across worker threads. The scoped path
-//! spawns those workers fresh on every wave, which costs tens of
-//! microseconds of `clone(2)`/scheduler work per wave — pure overhead on
-//! traces whose sweeps run thousands of waves. This module amortizes it:
-//! a [`WavePool`] spawns its helper threads **once per chain run** and
-//! parks them on channels, so dispatching a wave is one enqueue per
-//! worker plus one rendezvous, and the calling thread still prepares
-//! chunk 0 itself exactly as the scoped path does.
+//! draw-free prepare phase out across worker threads, and this pool is
+//! where those threads come from. A [`WavePool`] spawns its helper
+//! threads **once per chain run** and parks them on channels, so
+//! dispatching a wave is one enqueue per worker plus one rendezvous —
+//! no thread spawn per wave — and the calling thread prepares chunk 0
+//! itself.
 //!
 //! # Determinism
 //!
 //! The pool changes *scheduling only*. Workers run the same
-//! `prepare_chunk` (`crate::gibbs::batch`) over the same contiguous queue
-//! blocks produced by the same splitter as the scoped path, and the
-//! serial drain still performs every RNG draw on the chain's master
-//! stream. Hence the PR 4 contract extends verbatim: **every pool size,
-//! and pooled-vs-scoped dispatch, is bit-identical to the serial batched
-//! sweep** (pinned by `crates/core/tests/pool_gibbs.rs`). Errors are
-//! surfaced leader-first then in block order, so even the failure path
-//! is deterministic and matches the scoped path.
+//! `prepare_chunk` (`crate::gibbs::batch`) that inline preparation runs,
+//! over contiguous queue blocks, and the serial drain still performs
+//! every RNG draw on the chain's master stream. Hence **every pool size
+//! is bit-identical to the serial batched sweep** (pinned by
+//! `crates/core/tests/pool_gibbs.rs`). Errors are surfaced leader-first
+//! then in block order, so even the failure path is deterministic.
 //!
 //! # Why there is `unsafe` here (and nowhere else in the crate)
 //!
@@ -52,28 +48,9 @@ use crate::gibbs::batch::WaveBufs;
 use crate::gibbs::shard::ShardMode;
 use qni_model::log::EventLog;
 
-/// How sharded wave preparation schedules its worker threads.
-///
-/// Both modes produce bit-identical results (see the module docs);
-/// the mode only changes where the prepare threads come from, so it is
-/// excluded from checkpoint fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Long-lived pool threads parked on channels, spawned once per
-    /// chain run (the default): wave dispatch is one enqueue and one
-    /// rendezvous per worker.
-    #[default]
-    Pooled,
-    /// Scoped threads spawned fresh on every wave (the pre-pool
-    /// behaviour; kept as a fallback and as the reference for the
-    /// byte-identity tests).
-    Scoped,
-}
-
 /// A chunk's outcome as shipped back over the done channel: the outer
 /// layer carries a caught panic payload, the inner layer the prepare
-/// error, so the dispatcher can re-raise panics with the scoped path's
-/// exact precedence.
+/// error, so the dispatcher can re-raise panics in a fixed precedence.
 type ChunkResult = std::thread::Result<Result<(), InferenceError>>;
 
 /// One wave chunk, with its borrows erased so it can cross a channel to
@@ -163,8 +140,8 @@ pub struct WavePool {
 impl WavePool {
     /// Creates a pool that can prepare waves on up to `capacity` threads
     /// *including the caller*: `capacity − 1` helper threads are spawned
-    /// now and parked on their job channels, mirroring how
-    /// `ShardMode::Sharded(n)` spawns only `n − 1` scoped workers.
+    /// now and parked on their job channels, so `ShardMode::Sharded(n)`
+    /// occupies exactly `n` threads per chain.
     pub fn new(capacity: usize) -> WavePool {
         let helpers = capacity.max(1) - 1;
         let mut workers = Vec::with_capacity(helpers);
@@ -198,13 +175,12 @@ impl WavePool {
     }
 
     /// Prepares a wave on up to `workers` threads (capped at
-    /// [`WavePool::capacity`]): the wave is split into the same
-    /// contiguous queue blocks as the scoped path, chunks `1..` are
-    /// enqueued to the parked helpers, and the calling thread prepares
-    /// chunk 0 itself before rendezvousing with every helper it fed.
-    /// Results are bit-identical to inline preparation; errors and
-    /// panics surface leader-first then in block order, exactly like the
-    /// scoped path.
+    /// [`WavePool::capacity`]): the wave is split into contiguous queue
+    /// blocks, chunks `1..` are enqueued to the parked helpers, and the
+    /// calling thread prepares chunk 0 itself before rendezvousing with
+    /// every helper it fed. Results are bit-identical to inline
+    /// preparation; errors and panics surface leader-first then in block
+    /// order.
     pub(crate) fn dispatch(
         &mut self,
         log: &EventLog,
@@ -235,10 +211,10 @@ impl WavePool {
                 }
             });
         }
-        // The calling thread is worker 0, exactly as in the scoped path.
-        // Catching a leader panic here is load-bearing: the rendezvous
-        // below must run even then, or an in-flight job would outlive
-        // this frame (the soundness invariant in the module docs).
+        // The calling thread is worker 0. Catching a leader panic here is
+        // load-bearing: the rendezvous below must run even then, or an
+        // in-flight job would outlive this frame (the soundness invariant
+        // in the module docs).
         let leader = catch_unwind(AssertUnwindSafe(|| {
             crate::gibbs::batch::prepare_chunk(log, rates, leader_chunk)
         }));
@@ -251,14 +227,14 @@ impl WavePool {
                 Slot::Sent => match self.workers[i].done_rx.recv() {
                     Ok(r) => r,
                     // The helper died without reporting — treat it like
-                    // a panicked scoped worker.
+                    // a panicked worker.
                     Err(_) => Err(Box::new("shard worker panicked")),
                 },
             });
         }
-        // Deterministic precedence, matching the scoped path: a leader
-        // panic unwinds first, then worker panics in block order, then
-        // the leader's error, then worker errors in block order.
+        // Deterministic precedence: a leader panic unwinds first, then
+        // worker panics in block order, then the leader's error, then
+        // worker errors in block order.
         let leader = match leader {
             Ok(r) => r,
             Err(payload) => resume_unwind(payload),
@@ -302,8 +278,8 @@ impl Drop for WavePool {
 pub struct PoolSet {
     pools: Vec<Option<WavePool>>,
     /// `(chains, per-chain capacity)` the current pools were built for;
-    /// capacity 0 encodes "pools intentionally absent" (scoped dispatch
-    /// or a shard mode that never fans out).
+    /// capacity 0 encodes "pools intentionally absent" (a shard mode that
+    /// never fans out).
     key: Option<(usize, usize)>,
 }
 
@@ -315,16 +291,11 @@ impl PoolSet {
 
     /// Returns one pool slot per chain for the given configuration,
     /// rebuilding the set only when the shape changed. Slots are `None`
-    /// when `dispatch` is [`DispatchMode::Scoped`] or when `shard` never
-    /// fans out, so callers can thread the slots through unconditionally.
-    pub fn ensure(
-        &mut self,
-        chains: usize,
-        shard: ShardMode,
-        dispatch: DispatchMode,
-    ) -> &mut [Option<WavePool>] {
+    /// when `shard` never fans out, so callers can thread the slots
+    /// through unconditionally.
+    pub fn ensure(&mut self, chains: usize, shard: ShardMode) -> &mut [Option<WavePool>] {
         let per_chain = shard.workers().max(1);
-        let pooled = dispatch == DispatchMode::Pooled && per_chain > 1;
+        let pooled = per_chain > 1;
         let key = (chains, if pooled { per_chain } else { 0 });
         if self.key != Some(key) {
             self.pools.clear();
@@ -502,21 +473,19 @@ mod tests {
     #[test]
     fn pool_set_rebuilds_only_when_the_shape_changes() {
         let mut set = PoolSet::new();
-        let slots = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Pooled);
+        let slots = set.ensure(2, ShardMode::Sharded(3));
         assert_eq!(slots.len(), 2);
         assert!(slots.iter().all(|s| s.is_some()));
         assert_eq!(slots[0].as_ref().map(WavePool::capacity), Some(3));
         // Same shape: slots are reused, not rebuilt.
-        let again = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Pooled);
+        let again = set.ensure(2, ShardMode::Sharded(3));
         assert!(again.iter().all(|s| s.is_some()));
-        // Scoped dispatch or a non-fanning shard mode yields empty slots.
-        let scoped = set.ensure(2, ShardMode::Sharded(3), DispatchMode::Scoped);
-        assert!(scoped.iter().all(|s| s.is_none()));
-        let serial = set.ensure(4, ShardMode::Serial, DispatchMode::Pooled);
+        // A non-fanning shard mode yields empty slots.
+        let serial = set.ensure(4, ShardMode::Serial);
         assert_eq!(serial.len(), 4);
         assert!(serial.iter().all(|s| s.is_none()));
         // Back to pooled with a new chain count: rebuilt to match.
-        let rebuilt = set.ensure(3, ShardMode::Sharded(2), DispatchMode::Pooled);
+        let rebuilt = set.ensure(3, ShardMode::Sharded(2));
         assert_eq!(rebuilt.len(), 3);
         assert!(rebuilt.iter().all(|s| s.is_some()));
         assert_eq!(rebuilt[0].as_ref().map(WavePool::capacity), Some(2));

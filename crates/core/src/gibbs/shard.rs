@@ -19,12 +19,13 @@
 //!    member whose cached conditional an earlier same-wave move
 //!    invalidated (a π-side coupling caught by the conflict sets).
 //!
-//! Sharding executes phase 1 on up to `N` [`std::thread::scope`] workers,
-//! each owning a contiguous block of the wave (a *queue block*: wave
-//! members are stored in within-queue arrival order, so a chunk is a
-//! contiguous run of queue positions). Phase 2 — every RNG draw, every
-//! write, and the serial cleanup of deferred (conflicted) moves — stays
-//! on the calling thread, in the exact order of the serial sweep.
+//! Sharding executes phase 1 on up to `N` threads of the chain's
+//! persistent [`crate::gibbs::pool::WavePool`], each owning a contiguous
+//! block of the wave (a *queue block*: wave members are stored in
+//! within-queue arrival order, so a chunk is a contiguous run of queue
+//! positions). Phase 2 — every RNG draw, every write, and the serial
+//! cleanup of deferred (conflicted) moves — stays on the calling thread,
+//! in the exact order of the serial sweep.
 //!
 //! # Determinism
 //!
@@ -65,24 +66,17 @@
 //!
 //! # Scheduling policy
 //!
-//! Spawning a thread costs a few tens of microseconds, so tiny waves
-//! are prepared inline: a wave only fans out when every worker can be
-//! handed at least [`MIN_EVENTS_PER_WORKER`] members (floor division —
-//! see [`ShardMode::workers_for`] for the pinned policy). Waves that do
-//! fan out run on one of two worker sources, selected by
-//! [`crate::gibbs::pool::DispatchMode`]:
-//!
-//! - **Pooled** (the default): a persistent [`crate::gibbs::pool::WavePool`]
-//!   created once per chain run; dispatch is one enqueue and one
-//!   rendezvous per worker, amortizing spawn cost across all waves.
-//! - **Scoped**: [`std::thread::scope`] workers spawned per wave (the
-//!   original policy, kept as the byte-identity reference).
-//!
-//! Both sources split the wave with the same `split_leader_rest`
-//! splitter and surface errors in the same leader-then-block order, so
-//! the policy affects scheduling only — never results — and can be
-//! tuned freely. NUMA pinning of pool workers is the known next step;
-//! see ROADMAP.md.
+//! Handing a wave to the pool costs one enqueue and one rendezvous per
+//! worker, so tiny waves are prepared inline: a wave only fans out when
+//! every worker can be handed at least [`MIN_EVENTS_PER_WORKER`] members
+//! (floor division — see [`ShardMode::workers_for`] for the pinned
+//! policy). Waves that do fan out run on the
+//! [`crate::gibbs::pool::WavePool`] the caller passes, created once per
+//! chain run; without a pool every wave is prepared inline. The pool
+//! splits the wave with `split_leader_rest` and surfaces errors in
+//! leader-then-block order, so the policy affects scheduling only —
+//! never results — and can be tuned freely. NUMA pinning of pool
+//! workers is the known next step; see ROADMAP.md.
 
 use crate::error::InferenceError;
 use crate::gibbs::batch::WaveBufs;
@@ -99,9 +93,10 @@ pub enum ShardMode {
     /// sweep).
     #[default]
     Serial,
-    /// Prepare each sufficiently large wave on up to `n` scoped worker
-    /// threads (including the calling thread). `Sharded(1)` is the
-    /// inline path and `Sharded(0)` is rejected by [`ShardMode::validate`].
+    /// Prepare each sufficiently large wave on up to `n` threads of the
+    /// chain's [`crate::gibbs::pool::WavePool`] (including the calling
+    /// thread). `Sharded(1)` is the inline path and `Sharded(0)` is
+    /// rejected by [`ShardMode::validate`].
     Sharded(usize),
 }
 
@@ -171,14 +166,13 @@ impl ShardMode {
     }
 }
 
-/// Executes a wave's prepare phase under `mode`: inline when small or
-/// serial, otherwise split into contiguous per-worker queue blocks and
-/// run on `pool` when one is supplied (the persistent-pool dispatch) or
-/// on per-wave [`std::thread::scope`] workers otherwise. Workers read
-/// the frozen log and write disjoint per-member slots, so results are
-/// bit-identical regardless of the split and the worker source; errors
-/// are surfaced leader-first then in block order so even the failure
-/// path is deterministic.
+/// Executes a wave's prepare phase under `mode`: inline when the wave
+/// is small, the mode serial, or no `pool` is supplied; otherwise split
+/// into contiguous per-worker queue blocks on the pool. Workers read the
+/// frozen log and write disjoint per-member slots, so results are
+/// bit-identical regardless of the split; errors are surfaced
+/// leader-first then in block order so even the failure path is
+/// deterministic.
 pub(crate) fn prepare_wave(
     log: &EventLog,
     rates: &[f64],
@@ -187,38 +181,16 @@ pub(crate) fn prepare_wave(
     pool: Option<&mut crate::gibbs::pool::WavePool>,
 ) -> Result<(), InferenceError> {
     let workers = mode.workers_for(bufs.len());
-    if workers <= 1 {
-        return crate::gibbs::batch::prepare_chunk(log, rates, bufs);
+    match pool {
+        Some(pool) if workers > 1 => pool.dispatch(log, rates, bufs, workers),
+        _ => crate::gibbs::batch::prepare_chunk(log, rates, bufs),
     }
-    if let Some(pool) = pool {
-        return pool.dispatch(log, rates, bufs, workers);
-    }
-    let (leader_chunk, rest) = split_leader_rest(bufs, workers);
-    let results: Vec<Result<(), InferenceError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = rest
-            .into_iter()
-            .map(|chunk| s.spawn(move || crate::gibbs::batch::prepare_chunk(log, rates, chunk)))
-            .collect();
-        // The calling thread is worker 0: it prepares the first queue
-        // block itself while the spawned workers run, so `Sharded(n)`
-        // spawns only n − 1 threads per wave.
-        let leader = crate::gibbs::batch::prepare_chunk(log, rates, leader_chunk);
-        std::iter::once(leader)
-            .chain(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked")), // qni-lint: allow(QNI-E002) — re-raising a panicked shard worker is the intended failure mode
-            )
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 /// Splits wave buffers into `workers ≥ 2` contiguous, near-equal chunks
 /// (the first `len % workers` chunks get one extra member), returning
-/// the leader's chunk 0 separately from chunks `1..`. Shared by the
-/// scoped path and [`crate::gibbs::pool::WavePool::dispatch`], so both
-/// worker sources see byte-identical chunk boundaries.
+/// the leader's chunk 0 separately from chunks `1..`, for
+/// [`crate::gibbs::pool::WavePool::dispatch`].
 pub(crate) fn split_leader_rest(
     bufs: WaveBufs<'_>,
     workers: usize,

@@ -24,16 +24,6 @@ pub struct SweepStats {
     pub group_fallbacks: usize,
 }
 
-impl SweepStats {
-    fn absorb(&mut self, s: SweepStats) {
-        self.arrival_moves += s.arrival_moves;
-        self.final_moves += s.final_moves;
-        self.shift_moves += s.shift_moves;
-        self.arrival_groups += s.arrival_groups;
-        self.group_fallbacks += s.group_fallbacks;
-    }
-}
-
 /// How a sweep schedules its arrival moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchMode {
@@ -45,7 +35,7 @@ pub enum BatchMode {
     #[default]
     Grouped,
     /// One independent conditional rebuild per arrival move — the paper's
-    /// baseline sampler (kept for ablations and A/B benchmarks).
+    /// baseline sampler (a library-only ablation and the tests' oracle).
     Scalar,
 }
 
@@ -70,8 +60,8 @@ pub(crate) enum Move {
 /// paper, see [`super::shift`]) dramatically improve mixing for tasks
 /// none of whose times are pinned by data.
 ///
-/// This is the scalar scheduler; see [`sweep_batched`] for the grouped
-/// variant and [`sweep_with_mode`] to pick one at runtime.
+/// This is the paper's scalar scheduler, kept as the reference the
+/// batched sweep of [`sweep_with_opts_pooled`] is tested against.
 pub fn sweep<R: Rng + ?Sized>(
     state: &mut GibbsState,
     rng: &mut R,
@@ -93,45 +83,31 @@ pub fn sweep<R: Rng + ?Sized>(
     Ok(stats)
 }
 
-/// Performs one full sweep with same-queue arrival moves batched: the
-/// schedule holds one *group* item per queue (plus the usual final and
-/// shift moves), and each group is resampled by
-/// `batch::resample_group`.
+/// Performs one full sweep under `mode`: the scalar [`sweep`], or the
+/// batched sweep whose schedule holds one *group* item per queue (plus
+/// the usual final and shift moves), each group resampled by
+/// `batch::resample_group`. This is the sweep every fit runs.
 ///
-/// When every group is a singleton the schedule has the same length and
-/// item order as [`sweep`]'s, so shuffle and sampling consume the RNG
-/// identically and the two sweeps are bit-identical.
-pub fn sweep_batched<R: Rng + ?Sized>(
+/// The batched sweep prepares each wave under `shard`, fanning a large
+/// wave out onto `pool` when one is supplied and preparing it inline
+/// otherwise (see [`crate::gibbs::shard`]). The bytes are the same for
+/// every [`ShardMode`] and pool: sharding changes which threads compute
+/// the wave preparations, never what they produce or the order the
+/// chain RNG is consumed in. When every group is a singleton the
+/// schedule has the same length and item order as [`sweep`]'s, so the
+/// batched and scalar sweeps are bit-identical too. The scalar path has
+/// no waves; it ignores `shard` and `pool` (option validation upstream
+/// rejects a sharded scalar configuration).
+pub fn sweep_with_opts_pooled<R: Rng + ?Sized>(
     state: &mut GibbsState,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_batched_sharded(state, ShardMode::Serial, rng)
-}
-
-/// [`sweep_batched`] with each wave's prepare phase executed under
-/// `shard` (see [`crate::gibbs::shard`]). Bit-identical to
-/// [`sweep_batched`] for every [`ShardMode`]: sharding changes which
-/// threads compute the wave preparations, never the bytes they produce
-/// or the order the chain RNG is consumed in.
-pub fn sweep_batched_sharded<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    shard: ShardMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_batched_pooled(state, shard, None, rng)
-}
-
-/// [`sweep_batched_sharded`] with the wave preparations dispatched to a
-/// persistent [`WavePool`] instead of per-wave scoped spawns when
-/// `pool` is `Some`. The pool is a pure scheduling vehicle: results are
-/// bit-identical to the scoped and serial paths for every pool size
-/// (see [`crate::gibbs::pool`]).
-pub fn sweep_batched_pooled<R: Rng + ?Sized>(
-    state: &mut GibbsState,
+    mode: BatchMode,
     shard: ShardMode,
     pool: Option<&mut WavePool>,
     rng: &mut R,
 ) -> Result<SweepStats, InferenceError> {
+    if mode == BatchMode::Scalar {
+        return sweep(state, rng);
+    }
     state.ensure_arrival_groups()?;
     let mut schedule = std::mem::take(&mut state.scratch.schedule);
     schedule.clear();
@@ -148,59 +124,6 @@ pub fn sweep_batched_pooled<R: Rng + ?Sized>(
         "batched sweep corrupted constraints"
     );
     Ok(stats)
-}
-
-/// Validates a `(BatchMode, ShardMode)` combination: the shard mode
-/// itself must be well-formed, and sharding requires the batched
-/// (grouped) engine — the scalar sweep has no waves to shard. The
-/// single source of this rule for every option-carrying entry point
-/// (`StemOptions::validate`, `run_mcem`, `posterior_summaries`).
-pub(crate) fn validate_modes(batch: BatchMode, shard: ShardMode) -> Result<(), InferenceError> {
-    shard.validate()?;
-    if batch == BatchMode::Scalar && shard != ShardMode::Serial {
-        return Err(InferenceError::BadOptions {
-            what: "sharded sweeps require the batched (grouped) arrival scheduling",
-        });
-    }
-    Ok(())
-}
-
-/// Dispatches to [`sweep`] or [`sweep_batched`] by `mode`.
-pub fn sweep_with_mode<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_with_opts(state, mode, ShardMode::Serial, rng)
-}
-
-/// Dispatches by `mode` with the batched path's wave preparation run
-/// under `shard`. The scalar path has no waves to shard; it ignores
-/// `shard` (option validation upstream rejects the combination so it
-/// cannot be requested silently).
-pub fn sweep_with_opts<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweep_with_opts_pooled(state, mode, shard, None, rng)
-}
-
-/// [`sweep_with_opts`] with an optional persistent [`WavePool`] for the
-/// batched path's wave preparation. `None` keeps the per-wave scoped
-/// dispatch; either way the bytes are identical.
-pub fn sweep_with_opts_pooled<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    pool: Option<&mut WavePool>,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    match mode {
-        BatchMode::Grouped => sweep_batched_pooled(state, shard, pool, rng),
-        BatchMode::Scalar => sweep(state, rng),
-    }
 }
 
 /// Executes a shuffled schedule against the state's log. Single moves go
@@ -256,42 +179,6 @@ fn run_schedule<R: Rng + ?Sized>(
     Ok(())
 }
 
-/// Runs `n` sweeps, returning cumulative statistics.
-pub fn sweeps<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweeps_with_mode(state, BatchMode::Scalar, n, rng)
-}
-
-/// Runs `n` sweeps under the given [`BatchMode`], returning cumulative
-/// statistics.
-pub fn sweeps_with_mode<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    sweeps_with_opts(state, mode, ShardMode::Serial, n, rng)
-}
-
-/// Runs `n` sweeps under the given [`BatchMode`] and [`ShardMode`],
-/// returning cumulative statistics.
-pub fn sweeps_with_opts<R: Rng + ?Sized>(
-    state: &mut GibbsState,
-    mode: BatchMode,
-    shard: ShardMode,
-    n: usize,
-    rng: &mut R,
-) -> Result<SweepStats, InferenceError> {
-    let mut total = SweepStats::default();
-    for _ in 0..n {
-        total.absorb(sweep_with_opts(state, mode, shard, rng)?);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,6 +199,11 @@ mod tests {
             .apply(truth, &mut rng)
             .unwrap();
         GibbsState::new(&masked, vec![2.0, 5.0, 4.0], InitStrategy::default()).unwrap()
+    }
+
+    /// One serial batched sweep.
+    fn grouped_sweep<R: Rng>(st: &mut GibbsState, rng: &mut R) -> SweepStats {
+        sweep_with_opts_pooled(st, BatchMode::Grouped, ShardMode::Serial, None, rng).unwrap()
     }
 
     #[test]
@@ -389,8 +281,10 @@ mod tests {
             .unwrap();
         let rates = bp.network.rates().unwrap();
         let mut st = GibbsState::new(&masked, rates, InitStrategy::default()).unwrap();
-        let stats = sweeps(&mut st, 5, &mut rng).unwrap();
-        assert!(stats.arrival_moves > 0);
+        let moves: usize = (0..5)
+            .map(|_| sweep(&mut st, &mut rng).unwrap().arrival_moves)
+            .sum();
+        assert!(moves > 0);
         qni_model::constraints::validate(st.log()).unwrap();
     }
 
@@ -399,7 +293,7 @@ mod tests {
         let mut st = state(0.2, 21);
         let mut rng = rng_from_seed(22);
         for _ in 0..25 {
-            let stats = sweep_batched(&mut st, &mut rng).unwrap();
+            let stats = grouped_sweep(&mut st, &mut rng);
             assert_eq!(stats.arrival_moves, st.free_arrivals().len());
             assert_eq!(stats.final_moves, st.free_finals().len());
             assert!(stats.arrival_groups > 0);
@@ -437,7 +331,7 @@ mod tests {
         let mut rb = rng_from_seed(31);
         for _ in 0..20 {
             let ss = sweep(&mut scalar, &mut ra).unwrap();
-            let sb = sweep_batched(&mut batched, &mut rb).unwrap();
+            let sb = grouped_sweep(&mut batched, &mut rb);
             assert_eq!(ss.arrival_moves, sb.arrival_moves);
             assert_eq!(sb.arrival_groups, 2);
             assert_eq!(sb.group_fallbacks, 0);
@@ -466,7 +360,7 @@ mod tests {
             let mut acc = 0.0;
             let n = 400;
             for _ in 0..n {
-                sweep_with_mode(&mut st, mode, &mut rng).unwrap();
+                sweep_with_opts_pooled(&mut st, mode, ShardMode::Serial, None, &mut rng).unwrap();
                 acc += st.log().queue_averages()[1].mean_service;
             }
             acc / n as f64

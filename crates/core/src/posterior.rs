@@ -10,7 +10,7 @@
 
 use crate::error::InferenceError;
 use crate::gibbs::shard::ShardMode;
-use crate::gibbs::sweep::{sweep_with_opts, BatchMode};
+use crate::gibbs::sweep::{sweep_with_opts_pooled, BatchMode};
 use crate::state::GibbsState;
 use qni_stats::descriptive::quantile_sorted;
 use rand::Rng;
@@ -43,8 +43,6 @@ pub struct PosteriorOptions {
     pub ci_mass: f64,
     /// Arrival-move scheduling (see [`crate::stem::StemOptions::batch`]).
     pub batch: BatchMode,
-    /// Wave-prepare execution (see [`crate::stem::StemOptions::shard`]).
-    pub shard: ShardMode,
 }
 
 impl Default for PosteriorOptions {
@@ -54,7 +52,6 @@ impl Default for PosteriorOptions {
             samples: 200,
             ci_mass: 0.9,
             batch: BatchMode::default(),
-            shard: ShardMode::default(),
         }
     }
 }
@@ -76,10 +73,9 @@ pub fn posterior_summaries<R: Rng + ?Sized>(
             what: "ci_mass must be in (0, 1)",
         });
     }
-    crate::gibbs::sweep::validate_modes(opts.batch, opts.shard)?;
     let q = state.log().num_queues();
     for _ in 0..opts.burn_in {
-        sweep_with_opts(state, opts.batch, opts.shard, rng)?;
+        sweep_with_opts_pooled(state, opts.batch, ShardMode::Serial, None, rng)?;
     }
     let mut service: Vec<Vec<f64>> = vec![Vec::with_capacity(opts.samples); q];
     let mut waiting: Vec<Vec<f64>> = vec![Vec::with_capacity(opts.samples); q];
@@ -87,7 +83,7 @@ pub fn posterior_summaries<R: Rng + ?Sized>(
     // Reused per-sweep summary buffer (no allocation in the sample loop).
     let mut avgs = Vec::new();
     for _ in 0..opts.samples {
-        sweep_with_opts(state, opts.batch, opts.shard, rng)?;
+        sweep_with_opts_pooled(state, opts.batch, ShardMode::Serial, None, rng)?;
         state.log().queue_averages_into(&mut avgs);
         for (i, avg) in avgs.iter().enumerate() {
             counts[i] = avg.count;

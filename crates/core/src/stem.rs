@@ -12,9 +12,9 @@
 //! µ̂ fixed".
 
 use crate::error::InferenceError;
-use crate::gibbs::pool::{DispatchMode, WavePool};
+use crate::gibbs::pool::WavePool;
 use crate::gibbs::shard::ShardMode;
-use crate::gibbs::sweep::{sweep_with_opts, sweep_with_opts_pooled, BatchMode};
+use crate::gibbs::sweep::{sweep_with_opts_pooled, BatchMode};
 use crate::init::InitStrategy;
 use crate::mstep;
 use crate::state::GibbsState;
@@ -42,16 +42,11 @@ pub struct StemOptions {
     /// guarantees.
     pub batch: BatchMode,
     /// How each wave's prepare phase is executed: inline (default) or
-    /// sharded across worker threads. Pure performance knob — results
+    /// sharded across the threads of a per-run
+    /// [`crate::gibbs::pool::WavePool`]. Pure performance knob — results
     /// are bit-identical at every shard count (see
     /// [`crate::gibbs::shard`]). Requires [`BatchMode::Grouped`].
     pub shard: ShardMode,
-    /// Where sharded wave preparation gets its worker threads: a
-    /// persistent per-run [`crate::gibbs::pool::WavePool`] (default) or
-    /// per-wave scoped spawns. Pure scheduling knob — bytes are
-    /// identical either way — so it is excluded from checkpoint
-    /// fingerprints. Ignored when `shard` never fans out.
-    pub dispatch: DispatchMode,
 }
 
 impl Default for StemOptions {
@@ -64,7 +59,6 @@ impl Default for StemOptions {
             shift_moves: true,
             batch: BatchMode::default(),
             shard: ShardMode::default(),
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -85,14 +79,14 @@ impl StemOptions {
             shift_moves: true,
             batch: BatchMode::default(),
             shard: ShardMode::default(),
-            dispatch: DispatchMode::default(),
         }
     }
 
     /// Checks the iteration budget: `iterations` must be positive and
     /// `burn_in` strictly smaller, otherwise the kept-sample window would
     /// be empty ([`InferenceError::EmptyKeptWindow`]). Also rejects a
-    /// degenerate or inapplicable sharding configuration.
+    /// degenerate sharding configuration, and sharding of the scalar
+    /// sweep, which has no waves to shard.
     pub fn validate(&self) -> Result<(), InferenceError> {
         if self.iterations == 0 {
             return Err(InferenceError::BadOptions {
@@ -105,7 +99,13 @@ impl StemOptions {
                 iterations: self.iterations,
             });
         }
-        crate::gibbs::sweep::validate_modes(self.batch, self.shard)
+        self.shard.validate()?;
+        if self.batch == BatchMode::Scalar && self.shard != ShardMode::Serial {
+            return Err(InferenceError::BadOptions {
+                what: "sharded sweeps require the batched (grouped) arrival scheduling",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -134,43 +134,29 @@ pub struct StemResult {
 ///
 /// `initial_rates` defaults to [`heuristic_rates`] when `None`. The log's
 /// structural information (paths, per-queue order, observation counts) is
-/// taken from the mask as the paper assumes.
+/// taken from the mask as the paper assumes. When `opts.shard` can fan
+/// out, the run builds one persistent [`WavePool`] up front so every
+/// sharded wave of every sweep reuses the same parked workers.
 pub fn run_stem<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     opts: &StemOptions,
     rng: &mut R,
 ) -> Result<StemResult, InferenceError> {
-    run_stem_warm(masked, initial_rates, None, opts, rng)
+    let mut pool = (opts.shard.workers() > 1).then(|| WavePool::new(opts.shard.workers()));
+    run_stem_warm_in_pool(masked, initial_rates, None, opts, pool.as_mut(), rng)
 }
 
 /// [`run_stem`] with optional warm-start initialization targets for the
-/// free times (see [`crate::init::WarmTimes`]). Warm targets only shape
-/// the chain's *starting point* — the stationary distribution and every
-/// conditional are unchanged — so they buy faster burn-in on a log that
-/// overlaps a previously fitted one without biasing the estimate.
-pub fn run_stem_warm<R: Rng + ?Sized>(
-    masked: &MaskedLog,
-    initial_rates: Option<&[f64]>,
-    warm: Option<&crate::init::WarmTimes>,
-    opts: &StemOptions,
-    rng: &mut R,
-) -> Result<StemResult, InferenceError> {
-    // Build the run's persistent pool up front (when the configuration
-    // can fan out at all) so every sharded wave of every sweep reuses
-    // the same parked workers instead of spawning fresh ones.
-    let mut pool = (opts.dispatch == DispatchMode::Pooled && opts.shard.workers() > 1)
-        .then(|| WavePool::new(opts.shard.workers()));
-    run_stem_warm_in_pool(masked, initial_rates, warm, opts, pool.as_mut(), rng)
-}
-
-/// [`run_stem_warm`] against a caller-owned [`WavePool`], so long-lived
-/// callers (the multi-chain engine, the streaming engine) can reuse one
-/// pool across many fits instead of spawning threads per run. `None`
-/// falls back to the per-wave dispatch selected by
-/// [`StemOptions::dispatch`]'s scoped path. Pool reuse is byte-neutral:
-/// two consecutive fits on one pool equal two fresh runs bit-for-bit
-/// (pinned by `crates/core/tests/pool_gibbs.rs`).
+/// free times (see [`crate::init::WarmTimes`]), against a caller-owned
+/// [`WavePool`]. Warm targets only shape the chain's *starting point* —
+/// the stationary distribution and every conditional are unchanged — so
+/// they buy faster burn-in on a log that overlaps a previously fitted
+/// one without biasing the estimate. Long-lived callers (the multi-chain
+/// engine, the streaming engine) pass their own pool so one set of
+/// threads serves many fits; `None` prepares every wave inline. Pool
+/// reuse is byte-neutral: two consecutive fits on one pool equal two
+/// fresh runs bit-for-bit (pinned by `crates/core/tests/pool_gibbs.rs`).
 pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
@@ -250,8 +236,6 @@ pub struct McemOptions {
     pub init: InitStrategy,
     /// Arrival-move scheduling (see [`StemOptions::batch`]).
     pub batch: BatchMode,
-    /// Wave-prepare execution (see [`StemOptions::shard`]).
-    pub shard: ShardMode,
 }
 
 impl Default for McemOptions {
@@ -261,7 +245,6 @@ impl Default for McemOptions {
             inner_sweeps: 10,
             init: InitStrategy::default(),
             batch: BatchMode::default(),
-            shard: ShardMode::default(),
         }
     }
 }
@@ -280,7 +263,6 @@ pub fn run_mcem<R: Rng + ?Sized>(
             what: "MCEM needs positive outer iterations and inner sweeps",
         });
     }
-    crate::gibbs::sweep::validate_modes(opts.batch, opts.shard)?;
     let rates0 = match initial_rates {
         Some(r) => r.to_vec(),
         None => heuristic_rates(masked),
@@ -292,7 +274,7 @@ pub fn run_mcem<R: Rng + ?Sized>(
     for _ in 0..opts.outer_iterations {
         let mut acc = vec![(0.0f64, 0.0f64); q];
         for _ in 0..opts.inner_sweeps {
-            sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
+            sweep_with_opts_pooled(&mut state, opts.batch, ShardMode::Serial, None, rng)?;
             for (i, (n, sum)) in state
                 .log()
                 .service_sufficient_stats()
@@ -319,7 +301,7 @@ pub fn run_mcem<R: Rng + ?Sized>(
     let mut avgs = Vec::new();
     let sweeps_n = opts.inner_sweeps;
     for _ in 0..sweeps_n {
-        sweep_with_opts(&mut state, opts.batch, opts.shard, rng)?;
+        sweep_with_opts_pooled(&mut state, opts.batch, ShardMode::Serial, None, rng)?;
         state.log().queue_averages_into(&mut avgs);
         for (i, avg) in avgs.iter().enumerate() {
             if avg.count > 0 {

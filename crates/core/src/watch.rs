@@ -149,9 +149,9 @@ impl Checkpoint {
 /// Fingerprints every configuration knob that affects the stream's
 /// bytes: the schedule, queue count, StEM budgets and strategies, chain
 /// count, master seed, and warm-start/occupancy settings. Deliberately
-/// *excluded* are the byte-neutral execution knobs — shard mode, wave
-/// dispatch (pooled vs scoped), thread budget, and the injected clock —
-/// so a checkpoint written on an 8-core box resumes on a 2-core one.
+/// *excluded* are the byte-neutral execution knobs — shard mode (and
+/// with it the wave pool's size), thread budget, and the injected clock
+/// — so a checkpoint written on an 8-core box resumes on a 2-core one.
 ///
 /// `Option`-valued knobs hash a presence word *and* the value, so
 /// `None` never aliases `Some(0)`: `warm_burn_in: None` (keep the full
@@ -620,9 +620,9 @@ mod tests {
         std::fs::remove_file(&cp_path).unwrap();
     }
 
-    /// Byte-neutral execution knobs (shard mode, wave dispatch, thread
-    /// budget, clock) are excluded from the options fingerprint: a
-    /// checkpoint written on one machine shape resumes on another.
+    /// Byte-neutral execution knobs (shard mode, thread budget, clock)
+    /// are excluded from the options fingerprint: a checkpoint written
+    /// on one machine shape resumes on another.
     #[test]
     fn options_fingerprint_ignores_byte_neutral_knobs() {
         let schedule = WindowSchedule::new(20.0, 10.0).unwrap();
@@ -637,14 +637,6 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(a, options_fingerprint(&schedule, 2, &sharded));
-        let scoped = StreamOptions {
-            stem: crate::stem::StemOptions {
-                dispatch: crate::gibbs::pool::DispatchMode::Scoped,
-                ..base.stem.clone()
-            },
-            ..base.clone()
-        };
-        assert_eq!(a, options_fingerprint(&schedule, 2, &scoped));
         let reseeded = StreamOptions {
             master_seed: 1,
             ..base.clone()

@@ -17,10 +17,10 @@
 
 use proptest::prelude::*;
 use qni_core::gibbs::numeric::{numeric_conditional_grid, service_log_joint};
-use qni_core::gibbs::sweep::{sweep, sweep_batched, sweeps_with_mode, BatchMode};
+use qni_core::gibbs::sweep::{sweep, sweep_with_opts_pooled, BatchMode, SweepStats};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, StemOptions};
-use qni_core::GibbsState;
+use qni_core::{GibbsState, InferenceError, ShardMode};
 use qni_model::ids::{EventId, QueueId};
 use qni_model::log::EventLog;
 use qni_model::topology::tandem;
@@ -30,6 +30,14 @@ use qni_stats::rng::{rng_from_seed, split_seed};
 use qni_trace::{MaskedLog, ObservedMask};
 
 const STAGE_RATES: [f64; 3] = [5.0, 4.0, 6.0];
+
+/// One serial batched sweep.
+fn grouped_sweep(
+    st: &mut GibbsState,
+    rng: &mut qni_stats::rng::Rng,
+) -> Result<SweepStats, InferenceError> {
+    sweep_with_opts_pooled(st, BatchMode::Grouped, ShardMode::Serial, None, rng)
+}
 
 fn simulate(stages: usize, tasks: usize, seed: u64) -> EventLog {
     let bp = tandem(2.0, &STAGE_RATES[..stages]).expect("topology");
@@ -85,7 +93,7 @@ proptest! {
         let mut rb = rng_from_seed(sweep_seed);
         for _ in 0..4 {
             let ss = sweep(&mut scalar, &mut ra).unwrap();
-            let sb = sweep_batched(&mut batched, &mut rb).unwrap();
+            let sb = grouped_sweep(&mut batched, &mut rb).unwrap();
             prop_assert_eq!(ss.arrival_moves, sb.arrival_moves);
             prop_assert_eq!(sb.group_fallbacks, 0);
             for e in scalar.log().event_ids() {
@@ -124,7 +132,7 @@ proptest! {
         let mut st = GibbsState::new(&masked, rates.clone(), InitStrategy::default()).unwrap();
         let free = st.free_arrivals().len();
         for _ in 0..3 {
-            let stats = sweep_batched(&mut st, &mut rng).unwrap();
+            let stats = grouped_sweep(&mut st, &mut rng).unwrap();
             prop_assert_eq!(stats.arrival_moves, free);
             qni_model::constraints::validate(st.log()).unwrap();
             prop_assert!(service_log_joint(st.log(), &rates).is_finite());
@@ -182,7 +190,7 @@ fn first_group_event_matches_numeric_conditional() {
     for rep in 0..n {
         let mut st = state.clone();
         let mut rng = rng_from_seed(split_seed(9, rep));
-        sweep_batched(&mut st, &mut rng).expect("batched sweep");
+        grouped_sweep(&mut st, &mut rng).expect("batched sweep");
         samples.push(st.log().arrival(target));
     }
     let ks = ks_statistic(&samples, cdf).expect("ks");
@@ -205,7 +213,7 @@ fn multi_event_group_matches_scalar_kernel_statistically() {
         let mut acc = 0.0;
         let n = 4000;
         for _ in 0..n {
-            sweeps_with_mode(&mut st, mode, 1, &mut rng).unwrap();
+            sweep_with_opts_pooled(&mut st, mode, ShardMode::Serial, None, &mut rng).unwrap();
             acc += st.log().arrival(target);
         }
         acc / n as f64

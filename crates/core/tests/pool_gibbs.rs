@@ -2,19 +2,18 @@
 //!
 //! The contract (see `qni_core::gibbs::pool`): the pool is a pure
 //! scheduling vehicle. Pooled dispatch at every pool size must be
-//! **byte-identical** to scoped dispatch and to the serial batched
-//! sweep — same logs, same estimates, same RNG consumption, same
-//! deferred counts — and pool *reuse* must be byte-neutral: two
-//! consecutive fits on one pool equal two fresh runs. These tests pin
-//! that contract at raw-sweep level (waves large enough to actually
-//! dispatch), at `run_stem` level across dispatch modes and pool
-//! sizes, and across fit failures.
+//! **byte-identical** to the serial batched sweep — same logs, same
+//! estimates, same RNG consumption, same deferred counts — and pool
+//! *reuse* must be byte-neutral: two consecutive fits on one pool equal
+//! two fresh runs. These tests pin that contract at raw-sweep level
+//! (waves large enough to actually dispatch), at `run_stem` level
+//! across pool sizes, and across fit failures.
 
 use qni_core::gibbs::shard::MIN_EVENTS_PER_WORKER;
-use qni_core::gibbs::sweep::{sweep_batched_pooled, sweep_batched_sharded, SweepStats};
+use qni_core::gibbs::sweep::{sweep_with_opts_pooled, SweepStats};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, run_stem_warm_in_pool, StemOptions};
-use qni_core::{DispatchMode, GibbsState, ShardMode, WavePool};
+use qni_core::{BatchMode, GibbsState, ShardMode, WavePool};
 use qni_model::topology::{tandem, Blueprint};
 use qni_sim::{Simulator, Workload};
 use qni_stats::rng::rng_from_seed;
@@ -61,8 +60,8 @@ fn log_bits(st: &GibbsState) -> Vec<(u64, u64)> {
 }
 
 /// Runs `n` pooled batched sweeps from a fresh state against `pool`
-/// (`None` = scoped dispatch), returning per-sweep stats and final log
-/// bits.
+/// (`None` = inline preparation), returning per-sweep stats and final
+/// log bits.
 fn run_pooled_sweeps(
     masked: &MaskedLog,
     shard: ShardMode,
@@ -74,7 +73,14 @@ fn run_pooled_sweeps(
     let mut rng = rng_from_seed(sweep_seed);
     let stats = (0..n)
         .map(|_| {
-            sweep_batched_pooled(&mut st, shard, pool.as_deref_mut(), &mut rng).expect("sweep")
+            sweep_with_opts_pooled(
+                &mut st,
+                BatchMode::Grouped,
+                shard,
+                pool.as_deref_mut(),
+                &mut rng,
+            )
+            .expect("sweep")
         })
         .collect();
     let bits = log_bits(&st);
@@ -96,7 +102,16 @@ fn large_waves_pooled_dispatch_is_byte_identical_and_reusable() {
     let mut st = state_of(&masked);
     let mut rng = rng_from_seed(11);
     let base_stats: Vec<SweepStats> = (0..2)
-        .map(|_| sweep_batched_sharded(&mut st, ShardMode::Serial, &mut rng).expect("sweep"))
+        .map(|_| {
+            sweep_with_opts_pooled(
+                &mut st,
+                BatchMode::Grouped,
+                ShardMode::Serial,
+                None,
+                &mut rng,
+            )
+            .expect("sweep")
+        })
         .collect();
     let base_bits = log_bits(&st);
     for shards in [2usize, 4] {
@@ -115,60 +130,53 @@ fn large_waves_pooled_dispatch_is_byte_identical_and_reusable() {
         assert_eq!(first.1, bits, "first reused run diverged ({shards})");
         assert_eq!(second.0, stats, "reused pool diverged ({shards})");
         assert_eq!(second.1, bits, "reused pool diverged ({shards})");
-        // Scoped dispatch (no pool) stays on the same bytes too.
-        let (stats, bits) = run_pooled_sweeps(&masked, shard, None, 11, 2);
-        assert_eq!(stats, base_stats, "scoped stats diverged ({shards})");
-        assert_eq!(bits, base_bits, "scoped bytes diverged ({shards})");
     }
 }
 
-/// The run_stem-level pin at seed 7: pooled and scoped dispatch at pool
-/// sizes {1, 2, 4} are all byte-identical to the serial batched run —
-/// rate trace, point estimates, and waiting times.
+/// The run_stem-level pin at seed 7: inline (`Sharded(1)`) and pooled
+/// preparation at pool sizes {2, 4} are all byte-identical to the
+/// serial batched run — rate trace, point estimates, and waiting times.
 #[test]
 fn run_stem_seed7_is_byte_identical_across_dispatch_and_pool_sizes() {
     let masked = masked(1, 60, 0.25, 7);
-    let run = |shard: ShardMode, dispatch: DispatchMode| {
+    let run = |shard: ShardMode| {
         let opts = StemOptions {
             shard,
-            dispatch,
             ..StemOptions::quick_test()
         };
         let mut rng = rng_from_seed(7);
         run_stem(&masked, None, &opts, &mut rng).expect("stem")
     };
-    let base = run(ShardMode::Serial, DispatchMode::Scoped);
-    for dispatch in [DispatchMode::Pooled, DispatchMode::Scoped] {
-        for shards in [1usize, 2, 4] {
-            let r = run(ShardMode::Sharded(shards), dispatch);
-            assert_eq!(base.rate_trace.len(), r.rate_trace.len());
-            for (a, b) in base.rate_trace.iter().zip(&r.rate_trace) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "trace diverged at {dispatch:?} shards={shards}"
-                    );
-                }
-            }
-            for (x, y) in base
-                .rates
-                .iter()
-                .chain(&base.mean_waiting)
-                .chain(&base.sampled_service)
-                .zip(
-                    r.rates
-                        .iter()
-                        .chain(&r.mean_waiting)
-                        .chain(&r.sampled_service),
-                )
-            {
+    let base = run(ShardMode::Serial);
+    for shards in [1usize, 2, 4] {
+        let r = run(ShardMode::Sharded(shards));
+        assert_eq!(base.rate_trace.len(), r.rate_trace.len());
+        for (a, b) in base.rate_trace.iter().zip(&r.rate_trace) {
+            for (x, y) in a.iter().zip(b) {
                 assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
-                    "estimate diverged at {dispatch:?} shards={shards}"
+                    "trace diverged at shards={shards}"
                 );
             }
+        }
+        for (x, y) in base
+            .rates
+            .iter()
+            .chain(&base.mean_waiting)
+            .chain(&base.sampled_service)
+            .zip(
+                r.rates
+                    .iter()
+                    .chain(&r.mean_waiting)
+                    .chain(&r.sampled_service),
+            )
+        {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "estimate diverged at shards={shards}"
+            );
         }
     }
 }

@@ -12,10 +12,10 @@
 use proptest::prelude::*;
 use qni_core::chains::{run_stem_parallel, ParallelStemOptions};
 use qni_core::gibbs::shard::MIN_EVENTS_PER_WORKER;
-use qni_core::gibbs::sweep::{sweep_batched_sharded, SweepStats};
+use qni_core::gibbs::sweep::{sweep_with_opts_pooled, SweepStats};
 use qni_core::init::InitStrategy;
 use qni_core::stem::{run_stem, StemOptions};
-use qni_core::{BatchMode, GibbsState, ShardMode};
+use qni_core::{BatchMode, GibbsState, ShardMode, WavePool};
 use qni_model::ids::{QueueId, StateId};
 use qni_model::log::EventLogBuilder;
 use qni_model::topology::{tandem, three_tier, Blueprint};
@@ -54,6 +54,12 @@ fn state_of(masked: &MaskedLog) -> GibbsState {
     GibbsState::new(masked, rates, InitStrategy::default()).expect("state")
 }
 
+/// A wave pool sized to `shard`'s worker cap, so sharded sweeps fan out
+/// (`None` when the mode never does).
+fn pool_for(shard: ShardMode) -> Option<WavePool> {
+    (shard.workers() > 1).then(|| WavePool::new(shard.workers()))
+}
+
 /// Runs `n` sharded batched sweeps from a fresh state and returns the
 /// per-sweep stats plus the final (arrival, departure) bit patterns.
 fn run_sweeps(
@@ -64,8 +70,12 @@ fn run_sweeps(
 ) -> (Vec<SweepStats>, Vec<(u64, u64)>) {
     let mut st = state_of(masked);
     let mut rng = rng_from_seed(sweep_seed);
+    let mut pool = pool_for(shard);
     let stats = (0..n)
-        .map(|_| sweep_batched_sharded(&mut st, shard, &mut rng).expect("sweep"))
+        .map(|_| {
+            sweep_with_opts_pooled(&mut st, BatchMode::Grouped, shard, pool.as_mut(), &mut rng)
+                .expect("sweep")
+        })
         .collect();
     let bits = st
         .log()
@@ -159,8 +169,11 @@ fn constructed_pi_coupling_pins_deferred_count() {
         let mut st = GibbsState::from_parts(log.clone(), vec![1.0, 2.0], free.clone(), Vec::new())
             .expect("state");
         let mut rng = rng_from_seed(13);
+        let mut pool = pool_for(shard);
         for _ in 0..5 {
-            let stats = sweep_batched_sharded(&mut st, shard, &mut rng).expect("sweep");
+            let stats =
+                sweep_with_opts_pooled(&mut st, BatchMode::Grouped, shard, pool.as_mut(), &mut rng)
+                    .expect("sweep");
             assert_eq!(stats.arrival_moves, 3);
             assert_eq!(stats.arrival_groups, 1);
             assert_eq!(

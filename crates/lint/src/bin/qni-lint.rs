@@ -4,7 +4,6 @@
 //! $ qni-lint                        # lint the whole workspace
 //! $ qni-lint crates/core            # restrict to paths under a prefix
 //! $ qni-lint --json report.json     # also write the machine report
-//! $ qni-lint --sarif report.sarif   # also write SARIF 2.1.0
 //! $ qni-lint --root /path/to/repo   # explicit workspace root
 //! $ qni-lint --rules                # print the rule catalog
 //! ```
@@ -27,7 +26,7 @@ const USAGE: &str = "\
 qni-lint — determinism & numerical-soundness static analysis
 
 USAGE:
-  qni-lint [--root DIR] [--json FILE] [--sarif FILE] [--rules] [path-prefix…]";
+  qni-lint [--root DIR] [--json FILE] [--rules] [path-prefix…]";
 
 fn main() -> ExitCode {
     match run() {
@@ -49,7 +48,6 @@ fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut sarif_out: Option<PathBuf> = None;
     let mut filters: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -63,12 +61,6 @@ fn run() -> Result<bool, String> {
             "--json" => {
                 json_out = Some(PathBuf::from(
                     args.get(i + 1).ok_or("--json needs a value")?,
-                ));
-                i += 2;
-            }
-            "--sarif" => {
-                sarif_out = Some(PathBuf::from(
-                    args.get(i + 1).ok_or("--sarif needs a value")?,
                 ));
                 i += 2;
             }
@@ -106,10 +98,6 @@ fn run() -> Result<bool, String> {
     if let Some(path) = &json_out {
         let json = report.render_json().map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| format!("{}: {e}", path.display()))?;
-    }
-    if let Some(path) = &sarif_out {
-        let sarif = qni_lint::sarif::render_sarif(&report);
-        std::fs::write(path, sarif).map_err(|e| format!("{}: {e}", path.display()))?;
     }
     print!("{}", report.render_human());
     let mut clean = !report.has_errors();

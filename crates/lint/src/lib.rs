@@ -30,8 +30,6 @@
 //! - [`engine`]: walks sources (in sorted order: the linter itself obeys
 //!   the determinism contract), applies scanners and suppressions,
 //!   assembles a [`report::LintReport`].
-//! - [`sarif`]: renders a report as SARIF 2.1.0 for CI code-scanning
-//!   annotations (`--sarif FILE`).
 //! - [`budget`]: the checked-in suppression budget (`lint.toml`) — a
 //!   per-rule ceiling on allow directives, so reviewed exceptions
 //!   cannot silently accumulate.
@@ -58,7 +56,6 @@ pub mod error;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod scan;
 pub mod tree;
 

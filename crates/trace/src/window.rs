@@ -309,12 +309,7 @@ impl WindowedLog {
                     )
                 })
                 .collect();
-            builder.add_task(log.task_entry(k), &visits).map_err(|_| {
-                TraceError::ShapeMismatch {
-                    expected: visits.len(),
-                    actual: 0,
-                }
-            })?;
+            builder.add_task(log.task_entry(k), &visits)?;
             for &e in events {
                 flags.push((
                     self.masked.mask().arrival_observed(e),
@@ -323,36 +318,17 @@ impl WindowedLog {
             }
         }
         for &(state, q, residual) in &ghosts {
-            builder
-                .add_task(0.0, &[(state, q, 0.0, residual)])
-                .map_err(|_| TraceError::ShapeMismatch {
-                    expected: 1,
-                    actual: 0,
-                })?;
+            builder.add_task(0.0, &[(state, q, 0.0, residual)])?;
             // Carry tasks are fully pinned: the sampler must treat the
             // carried occupancy as data, not as a free variable.
             flags.push((true, true));
             flags.push((true, true));
         }
-        let new_log = builder.build().map_err(|_| TraceError::ShapeMismatch {
-            expected: flags.len(),
-            actual: 0,
-        })?;
-        let mut mask = ObservedMask::unobserved(new_log.num_events());
-        for (i, &(a, d)) in flags.iter().enumerate() {
-            let e = EventId::from_index(i);
-            if a {
-                mask.observe_arrival(e);
-            }
-            if d {
-                mask.observe_departure(e);
-            }
-        }
         Ok(WindowedLog {
             index: self.index,
             start: self.start,
             end: self.end,
-            masked: MaskedLog::new(new_log, mask)?,
+            masked: mask_log(builder.build()?, &flags)?,
             orig_events: self.orig_events.clone(),
             orig_tasks: self.orig_tasks.clone(),
             carry_tasks: ghosts.len(),
@@ -452,20 +428,33 @@ fn build_window(
             .iter()
             .map(|&(s, q, a, d)| (s, q, (a - start).max(0.0), (d - start).max(0.0)))
             .collect();
-        builder
-            .add_task((t.entry - start).max(0.0), &visits)
-            .map_err(|_| TraceError::ShapeMismatch {
-                expected: visits.len(),
-                actual: 0,
-            })?;
+        builder.add_task((t.entry - start).max(0.0), &visits)?;
         orig_tasks.push(t.orig_task);
         orig_events.extend_from_slice(&t.orig_events);
         flags.extend_from_slice(&t.flags);
     }
-    let log = builder.build().map_err(|_| TraceError::ShapeMismatch {
-        expected: orig_events.len(),
-        actual: 0,
-    })?;
+    Ok(WindowedLog {
+        index,
+        start,
+        end,
+        masked: mask_log(builder.build()?, &flags)?,
+        orig_events,
+        orig_tasks,
+        carry_tasks: 0,
+        carry_events: 0,
+    })
+}
+
+/// Pairs a built window log with its per-event observation flags, the
+/// last step of every window construction. A flag list whose length is
+/// not the log's event count is a shape error.
+fn mask_log(log: EventLog, flags: &[(bool, bool)]) -> Result<MaskedLog, TraceError> {
+    if flags.len() != log.num_events() {
+        return Err(TraceError::ShapeMismatch {
+            expected: log.num_events(),
+            actual: flags.len(),
+        });
+    }
     let mut mask = ObservedMask::unobserved(log.num_events());
     for (i, &(a, d)) in flags.iter().enumerate() {
         let e = EventId::from_index(i);
@@ -476,16 +465,14 @@ fn build_window(
             mask.observe_departure(e);
         }
     }
-    Ok(WindowedLog {
-        index,
-        start,
-        end,
-        masked: MaskedLog::new(log, mask)?,
-        orig_events,
-        orig_tasks,
-        carry_tasks: 0,
-        carry_events: 0,
-    })
+    MaskedLog::new(log, mask)
+}
+
+/// The error for resume state whose lengths disagree with the ones the
+/// slicer's constructors produce, i.e. state that was edited or corrupted
+/// after [`LiveSlicer::snapshot`] or [`WindowedLog::to_state`] wrote it.
+fn inconsistent_state(what: std::fmt::Arguments<'_>) -> TraceError {
+    TraceError::Serde(serde::de::Error::custom(what))
 }
 
 /// Extracts every task of a masked log into the slicer's intermediate
@@ -896,12 +883,24 @@ impl LiveSlicer {
 
     /// Rebuilds the slicer a [`SlicerState`] snapshot was taken from.
     /// `schedule` and `num_queues` must match the original (the
-    /// checkpoint layer's options fingerprint enforces this).
+    /// checkpoint layer's options fingerprint enforces this). Errors if
+    /// a buffered task's flags, event ids and visits disagree in length.
     pub fn restore(
         schedule: WindowSchedule,
         num_queues: usize,
         state: &SlicerState,
     ) -> Result<Self, TraceError> {
+        for t in &state.completed {
+            let events = t.visits.len() + 1;
+            if t.flags.len() != events || t.orig_events.len() != events {
+                return Err(inconsistent_state(format_args!(
+                    "buffered task {} has {} flags and {} event ids for {events} events",
+                    t.orig_task,
+                    t.flags.len(),
+                    t.orig_events.len()
+                )));
+            }
+        }
         let mut slicer = LiveSlicer::new(schedule, num_queues)?;
         slicer.initial_state = state.initial_state.map(|s| StateId::from_index(s as usize));
         slicer.completed = state
@@ -1153,6 +1152,9 @@ impl WindowedLog {
 
     /// Rebuilds the window a [`WindowState`] was captured from, through
     /// the same `EventLogBuilder` path as the original construction.
+    /// Errors if the builder rejects the tasks, or if the flags, the
+    /// original event and task ids and the carry counts disagree with
+    /// the rebuilt log's event and task counts.
     pub fn from_state(state: &WindowState) -> Result<WindowedLog, TraceError> {
         let mut builder = EventLogBuilder::new(
             state.num_queues as usize,
@@ -1171,32 +1173,29 @@ impl WindowedLog {
                     )
                 })
                 .collect();
-            builder
-                .add_task(f64::from_bits(t.entry_bits), &visits)
-                .map_err(|_| TraceError::ShapeMismatch {
-                    expected: visits.len(),
-                    actual: 0,
-                })?;
+            builder.add_task(f64::from_bits(t.entry_bits), &visits)?;
         }
-        let log = builder.build().map_err(|_| TraceError::ShapeMismatch {
-            expected: state.flags.len(),
-            actual: 0,
-        })?;
-        let mut mask = ObservedMask::unobserved(log.num_events());
-        for (i, &(a, d)) in state.flags.iter().enumerate() {
-            let e = EventId::from_index(i);
-            if a {
-                mask.observe_arrival(e);
-            }
-            if d {
-                mask.observe_departure(e);
-            }
+        let log = builder.build()?;
+        let (events, tasks) = (log.num_events() as u64, log.num_tasks() as u64);
+        let real_events = state.orig_events.len() as u64;
+        if real_events.checked_add(state.carry_events) != Some(events) {
+            return Err(inconsistent_state(format_args!(
+                "window has {real_events} original and {} carry events for {events} events",
+                state.carry_events
+            )));
+        }
+        let real_tasks = state.orig_tasks.len() as u64;
+        if real_tasks.checked_add(state.carry_tasks) != Some(tasks) {
+            return Err(inconsistent_state(format_args!(
+                "window has {real_tasks} original and {} carry tasks for {tasks} tasks",
+                state.carry_tasks
+            )));
         }
         Ok(WindowedLog {
             index: state.index as usize,
             start: f64::from_bits(state.start_bits),
             end: f64::from_bits(state.end_bits),
-            masked: MaskedLog::new(log, mask)?,
+            masked: mask_log(log, &state.flags)?,
             orig_events: state
                 .orig_events
                 .iter()
@@ -1729,6 +1728,79 @@ mod tests {
             for (ea, eb) in w.event_mapping().zip(rebuilt.event_mapping()) {
                 assert_eq!(ea, eb);
             }
+        }
+    }
+
+    /// Edited window state is rejected with a typed error instead of a
+    /// panic or a silently different window: one flag too many, a task
+    /// with no visits, and original event or task ids that no longer
+    /// cover the rebuilt log next to its carry tasks.
+    #[test]
+    fn window_state_rejects_inconsistent_lengths() {
+        let ml = masked(80, 5);
+        let s = WindowSchedule::new(10.0, 5.0).unwrap();
+        let windows = slice_windows(&ml, &s).unwrap();
+        let state = windows
+            .windows(2)
+            .map(|pair| {
+                let prev_final = pair[0].masked().ground_truth().clone();
+                let carry = occupancy_carry(&pair[0], &prev_final, &pair[1]);
+                pair[1].with_occupancy(&carry).unwrap().to_state()
+            })
+            .find(|st| st.carry_tasks > 0)
+            .expect("fixture must carry occupancy into some window");
+        let edited = |edit: fn(&mut WindowState)| {
+            let mut st = state.clone();
+            edit(&mut st);
+            WindowedLog::from_state(&st).unwrap_err()
+        };
+        let err = edited(|st| st.flags.push((true, true)));
+        assert!(
+            matches!(err, TraceError::ShapeMismatch { expected, actual } if actual == expected + 1),
+            "{err}"
+        );
+        let err = edited(|st| st.tasks[0].visits.clear());
+        assert!(
+            matches!(err, TraceError::Model(qni_model::ModelError::EmptyTask(_))),
+            "{err}"
+        );
+        let err = edited(|st| st.orig_events.truncate(3));
+        assert!(
+            matches!(err, TraceError::Serde(_)) && err.to_string().contains("has 3 original"),
+            "{err}"
+        );
+        let err = edited(|st| st.orig_tasks.push(0));
+        assert!(
+            matches!(err, TraceError::Serde(_)) && err.to_string().contains("carry tasks"),
+            "{err}"
+        );
+    }
+
+    /// A buffered task whose flags or event ids disagree in length with
+    /// its visits is rejected on restore instead of resuming on a
+    /// different trace.
+    #[test]
+    fn slicer_restore_rejects_inconsistent_task_lengths() {
+        let ml = masked(60, 6);
+        let records = to_records(ml.ground_truth(), ml.mask());
+        let schedule = WindowSchedule::new(8.0, 4.0).unwrap();
+        let nq = ml.ground_truth().num_queues();
+        let mut slicer = LiveSlicer::new(schedule, nq).unwrap();
+        for rec in &records[..records.len() / 2] {
+            slicer.push(*rec).unwrap();
+        }
+        let state = slicer.snapshot();
+        assert!(!state.completed.is_empty(), "fixture must buffer tasks");
+        let mut extra_flag = state.clone();
+        extra_flag.completed[0].flags.push((true, true));
+        let mut short_ids = state.clone();
+        short_ids.completed[0].orig_events.pop();
+        for bad in [extra_flag, short_ids] {
+            let err = LiveSlicer::restore(schedule, nq, &bad).unwrap_err();
+            assert!(
+                matches!(err, TraceError::Serde(_)) && err.to_string().contains("buffered task"),
+                "{err}"
+            );
         }
     }
 

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Flags are deliberately minimal (no external argument-parsing
-//! dependency); every subcommand prints `--help`-style usage on error.
+//! dependency); every subcommand prints `--help`-style usage on error,
+//! including a flag it does not know or one given twice.
 
 use qni::prelude::*;
 use std::collections::HashMap;
@@ -21,13 +22,13 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `lint` mixes a valueless `--json` flag, a valued `--sarif FILE`,
-    // and positional paths, so it bypasses the strict `--flag value`
-    // parser used by the other subcommands.
+    // `lint` mixes a valueless `--json` flag and positional paths, so it
+    // bypasses the strict `--flag value` parser used by the other
+    // subcommands.
     if cmd == "lint" {
         return cmd_lint(rest);
     }
-    let flags = match parse_flags(rest) {
+    let mut flags = match parse_flags(rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -35,12 +36,12 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "simulate" => cmd_simulate(&flags),
-        "infer" => cmd_infer(&flags, false),
-        "localize" => cmd_infer(&flags, true),
-        "stream" => cmd_stream(&flags),
-        "watch" => cmd_watch(&flags),
-        "volume" => cmd_volume(&flags),
+        "simulate" => cmd_simulate(&mut flags),
+        "infer" => cmd_infer(&mut flags, false),
+        "localize" => cmd_infer(&mut flags, true),
+        "stream" => cmd_stream(&mut flags),
+        "watch" => cmd_watch(&mut flags),
+        "volume" => cmd_volume(&mut flags),
         "--help" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -63,16 +64,13 @@ USAGE:
   qni simulate --tiers 1,2,4 [--lambda 10] [--mu 5] [--tasks 1000]
                [--observe 0.1] [--seed 1] --out trace.jsonl
   qni infer    --trace trace.jsonl [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
   qni localize --trace trace.jsonl [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
   qni stream   --trace trace.jsonl --window W --stride S
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
                [--out traj.csv] [--json traj.json]
   qni watch    --trace trace.jsonl --window W --stride S --queues Q
                [--poll-ms 50] [--idle-polls 40] [--max-lag-strides L]
@@ -80,12 +78,13 @@ USAGE:
                [--follow-rotations on|off] [--max-bad-lines 0]
                [--warm-start on|off] [--warm-burn-in B]
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
-               [--seed 2] [--chains 1] [--batch on|off] [--shards 1]
-               [--dispatch pooled|scoped] [--threads N]
+               [--seed 2] [--chains 1] [--shards 1] [--threads N]
                [--out traj.csv] [--json traj.json]
   qni volume   --tasks-per-day N --events-per-task M [--fraction 0.01]
-  qni lint     [--json] [--sarif FILE] [path-prefix ...]";
+  qni lint     [--json] [path-prefix ...]";
 
+/// Collects `--key value` pairs. A repeated flag is an error, so a
+/// script never silently runs on the last of two values.
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut i = 0;
@@ -96,29 +95,47 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let value = args
             .get(i + 1)
             .ok_or_else(|| format!("flag --{key} needs a value"))?;
-        map.insert(key.to_owned(), value.clone());
+        if map.insert(key.to_owned(), value.clone()).is_some() {
+            return Err(format!("flag --{key} given more than once"));
+        }
         i += 2;
     }
     Ok(map)
 }
 
-fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
-    match flags.get(key) {
+/// Fails on any flag the command did not read. Every read removes its
+/// key from the map, so whatever is left once a command has read its
+/// flags is unknown to it: a misspelling, or a retired flag.
+fn reject_unknown(flags: &HashMap<String, String>) -> Result<(), String> {
+    if flags.is_empty() {
+        return Ok(());
+    }
+    let mut keys: Vec<String> = flags.keys().map(|k| format!("--{k}")).collect();
+    keys.sort();
+    Err(format!("unknown flag {}", keys.join(", ")))
+}
+
+fn get_f64(flags: &mut HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
+    match flags.remove(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad number `{v}`")),
     }
 }
 
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    match flags.get(key) {
+fn get_usize(
+    flags: &mut HashMap<String, String>,
+    key: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match flags.remove(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad integer `{v}`")),
     }
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &mut HashMap<String, String>) -> Result<(), String> {
     let tiers: Vec<usize> = flags
-        .get("tiers")
+        .remove("tiers")
         .ok_or("simulate requires --tiers (e.g. 1,2,4)")?
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("bad tier `{s}`")))
@@ -128,7 +145,8 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     let tasks = get_usize(flags, "tasks", 1000)?;
     let observe = get_f64(flags, "observe", 0.1)?;
     let seed = get_usize(flags, "seed", 1)? as u64;
-    let out = flags.get("out").ok_or("simulate requires --out FILE")?;
+    let out = flags.remove("out").ok_or("simulate requires --out FILE")?;
+    reject_unknown(flags)?;
 
     let bp =
         qni::model::topology::three_tier(lambda, mu, &tiers, false).map_err(|e| e.to_string())?;
@@ -143,7 +161,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .apply(truth, &mut rng)
         .map_err(|e| e.to_string())?;
-    let file = std::fs::File::create(out).map_err(|e| e.to_string())?;
+    let file = std::fs::File::create(&out).map_err(|e| e.to_string())?;
     qni::trace::record::write_jsonl(&masked, std::io::BufWriter::new(file))
         .map_err(|e| e.to_string())?;
     eprintln!(
@@ -155,14 +173,13 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_masked(flags: &HashMap<String, String>) -> Result<MaskedLog, String> {
-    let path = flags.get("trace").ok_or("requires --trace FILE")?;
+fn load_masked(path: &str) -> Result<MaskedLog, String> {
     let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
     let records =
         qni::trace::record::read_jsonl(std::io::BufReader::new(file)).map_err(|mut e| {
             // The reader does not know the file; name it in the error.
             if let qni::trace::TraceError::BadLine { path: p, .. } = &mut e {
-                p.clone_from(path);
+                path.clone_into(p);
             }
             e.to_string()
         })?;
@@ -184,21 +201,15 @@ struct EngineFlags {
 }
 
 /// Parses and validates the shared engine flags (`--iterations`,
-/// `--burn-in`, `--seed`, `--chains`, `--batch`, `--shards`,
-/// `--dispatch`, `--threads`).
+/// `--burn-in`, `--seed`, `--chains`, `--shards`, `--threads`).
 fn parse_engine_flags(
-    flags: &HashMap<String, String>,
+    flags: &mut HashMap<String, String>,
     waiting_sweeps: usize,
 ) -> Result<EngineFlags, String> {
     let iterations = get_usize(flags, "iterations", 200)?;
     let burn_in = get_usize(flags, "burn-in", iterations / 2)?;
     let seed = get_usize(flags, "seed", 2)? as u64;
     let chains = get_usize(flags, "chains", 1)?;
-    let batch = match flags.get("batch").map(String::as_str) {
-        None | Some("on") => BatchMode::Grouped,
-        Some("off") => BatchMode::Scalar,
-        Some(v) => return Err(format!("--batch: expected `on` or `off`, got `{v}`")),
-    };
     if chains == 0 {
         return Err("--chains must be >= 1".into());
     }
@@ -216,18 +227,6 @@ fn parse_engine_flags(
     } else {
         ShardMode::Sharded(shards)
     };
-    // Where sharded waves get their worker threads: a persistent
-    // per-chain pool (default) or per-wave scoped spawns. Byte-neutral
-    // either way — the pool only amortizes thread-spawn cost.
-    let dispatch = match flags.get("dispatch").map(String::as_str) {
-        None | Some("pooled") => DispatchMode::Pooled,
-        Some("scoped") => DispatchMode::Scoped,
-        Some(v) => {
-            return Err(format!(
-                "--dispatch: expected `pooled` or `scoped`, got `{v}`"
-            ))
-        }
-    };
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = get_usize(flags, "threads", host_threads.max(chains))?;
     if threads == 0 {
@@ -244,9 +243,7 @@ fn parse_engine_flags(
         iterations,
         burn_in,
         waiting_sweeps,
-        batch,
         shard,
-        dispatch,
         ..StemOptions::default()
     };
     // Catches an empty kept-sample window (--burn-in >= --iterations) up
@@ -261,8 +258,8 @@ fn parse_engine_flags(
     })
 }
 
-fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(), String> {
-    let masked = load_masked(flags)?;
+fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Result<(), String> {
+    let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
     let EngineFlags {
         opts,
         chains,
@@ -270,6 +267,8 @@ fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(
         shards,
         threads,
     } = parse_engine_flags(flags, 20)?;
+    reject_unknown(flags)?;
+    let masked = load_masked(&trace)?;
     // Every chain count (including 1) routes through the parallel engine,
     // so diagnostics are always reported and every run uses the same
     // seed-derivation scheme (chain k draws from split_seed(seed, k); to
@@ -332,8 +331,8 @@ fn cmd_infer(flags: &HashMap<String, String>, localize_report: bool) -> Result<(
 }
 
 /// Shared `--warm-burn-in B` parsing for `stream` and `watch`.
-fn parse_warm_burn_in(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    match flags.get("warm-burn-in") {
+fn parse_warm_burn_in(flags: &mut HashMap<String, String>) -> Result<Option<usize>, String> {
+    match flags.remove("warm-burn-in") {
         None => Ok(None),
         Some(v) => v
             .parse()
@@ -343,8 +342,8 @@ fn parse_warm_burn_in(flags: &HashMap<String, String>) -> Result<Option<usize>, 
 }
 
 /// Shared `--occupancy-carry on|off` parsing for `stream` and `watch`.
-fn parse_occupancy_carry(flags: &HashMap<String, String>) -> Result<bool, String> {
-    match flags.get("occupancy-carry").map(String::as_str) {
+fn parse_occupancy_carry(flags: &mut HashMap<String, String>) -> Result<bool, String> {
+    match flags.remove("occupancy-carry").as_deref() {
         None | Some("on") => Ok(true),
         Some("off") => Ok(false),
         Some(v) => Err(format!(
@@ -353,15 +352,15 @@ fn parse_occupancy_carry(flags: &HashMap<String, String>) -> Result<bool, String
     }
 }
 
-fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
-    let masked = load_masked(flags)?;
+fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
+    let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
     let width: f64 = flags
-        .get("window")
+        .remove("window")
         .ok_or("stream requires --window W")?
         .parse()
         .map_err(|_| "--window: bad number".to_owned())?;
     let stride: f64 = flags
-        .get("stride")
+        .remove("stride")
         .ok_or("stream requires --stride S")?
         .parse()
         .map_err(|_| "--stride: bad number".to_owned())?;
@@ -371,7 +370,7 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
     if !(stride.is_finite() && stride > 0.0) {
         return Err("--stride must be > 0".into());
     }
-    let warm_start = match flags.get("warm-start").map(String::as_str) {
+    let warm_start = match flags.remove("warm-start").as_deref() {
         None | Some("on") => true,
         Some("off") => false,
         Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`")),
@@ -386,6 +385,12 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         shards: _,
         threads,
     } = parse_engine_flags(flags, 1)?;
+    let warm_burn_in = parse_warm_burn_in(flags)?;
+    let occupancy_carry = parse_occupancy_carry(flags)?;
+    let out_path = flags.remove("out");
+    let json_path = flags.remove("json");
+    reject_unknown(flags)?;
+    let masked = load_masked(&trace)?;
     let schedule = WindowSchedule::new(width, stride).map_err(|e| e.to_string())?;
     let sopts = StreamOptions {
         stem: opts,
@@ -393,8 +398,8 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
         master_seed: seed,
         thread_budget: Some(threads),
         warm_start,
-        warm_burn_in: parse_warm_burn_in(flags)?,
-        occupancy_carry: parse_occupancy_carry(flags)?,
+        warm_burn_in,
+        occupancy_carry,
         clock: Some(monotonic_secs),
     };
     let traj = run_stream(&masked, &schedule, &sopts).map_err(|e| e.to_string())?;
@@ -436,15 +441,15 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
             .collect();
         println!("µ̂ q{q}: [{}]", series.join(", "));
     }
-    if let Some(path) = flags.get("out") {
-        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+    if let Some(path) = out_path {
+        let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
         traj.to_csv(std::io::BufWriter::new(file))
             .map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory CSV to {path}");
     }
-    if let Some(path) = flags.get("json") {
+    if let Some(path) = json_path {
         let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        std::fs::write(&path, json).map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory JSON to {path}");
     }
     println!("fingerprint={}", traj.fingerprint_digest());
@@ -465,15 +470,15 @@ fn cmd_stream(flags: &HashMap<String, String>) -> Result<(), String> {
 /// the same command resumes from it bit-identically. `--follow-rotations
 /// on` survives copytruncate log rotation, and `--max-bad-lines N`
 /// quarantines up to N malformed lines before hard-failing.
-fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = flags.get("trace").ok_or("watch requires --trace FILE")?;
+fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
+    let path = flags.remove("trace").ok_or("watch requires --trace FILE")?;
     let width: f64 = flags
-        .get("window")
+        .remove("window")
         .ok_or("watch requires --window W")?
         .parse()
         .map_err(|_| "--window: bad number".to_owned())?;
     let stride: f64 = flags
-        .get("stride")
+        .remove("stride")
         .ok_or("watch requires --stride S")?
         .parse()
         .map_err(|_| "--stride: bad number".to_owned())?;
@@ -494,26 +499,26 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
     if idle_polls == 0 {
         return Err("--idle-polls must be >= 1".into());
     }
-    let max_lag_strides = match flags.get("max-lag-strides") {
+    let max_lag_strides = match flags.remove("max-lag-strides") {
         None => None,
         Some(v) => Some(
             v.parse::<f64>()
                 .map_err(|_| "--max-lag-strides: bad number".to_owned())?,
         ),
     };
-    let max_resident = match flags.get("max-resident") {
+    let max_resident = match flags.remove("max-resident") {
         None => None,
         Some(v) => Some(
             v.parse::<usize>()
                 .map_err(|_| "--max-resident: bad integer".to_owned())?,
         ),
     };
-    let warm_start = match flags.get("warm-start").map(String::as_str) {
+    let warm_start = match flags.remove("warm-start").as_deref() {
         None | Some("on") => true,
         Some("off") => false,
         Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`")),
     };
-    let follow_rotations = match flags.get("follow-rotations").map(String::as_str) {
+    let follow_rotations = match flags.remove("follow-rotations").as_deref() {
         None | Some("off") => false,
         Some("on") => true,
         Some(v) => {
@@ -523,7 +528,7 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     };
     let max_bad_lines = get_usize(flags, "max-bad-lines", 0)? as u64;
-    let checkpoint_path = flags.get("checkpoint").cloned();
+    let checkpoint_path = flags.remove("checkpoint");
     let checkpoint_every = get_usize(flags, "checkpoint-every", 1)?;
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be >= 1".into());
@@ -535,6 +540,11 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         shards: _,
         threads,
     } = parse_engine_flags(flags, 1)?;
+    let warm_burn_in = parse_warm_burn_in(flags)?;
+    let occupancy_carry = parse_occupancy_carry(flags)?;
+    let out_path = flags.remove("out");
+    let json_path = flags.remove("json");
+    reject_unknown(flags)?;
     let schedule = WindowSchedule::new(width, stride).map_err(|e| e.to_string())?;
     let sopts = StreamOptions {
         stem: opts,
@@ -542,8 +552,8 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         master_seed: seed,
         thread_budget: Some(threads),
         warm_start,
-        warm_burn_in: parse_warm_burn_in(flags)?,
-        occupancy_carry: parse_occupancy_carry(flags)?,
+        warm_burn_in,
+        occupancy_carry,
         clock: Some(monotonic_secs),
     };
     let tail_opts = TailOptions {
@@ -569,9 +579,9 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let resumed_from = existing.as_ref().map(|cp| cp.tail.offset);
     let mut session = match &existing {
-        Some(cp) => WatchSession::resume(path, schedule, num_queues, sopts, tail_opts, cp)
+        Some(cp) => WatchSession::resume(&path, schedule, num_queues, sopts, tail_opts, cp)
             .map_err(|e| e.to_string())?,
-        None => WatchSession::with_tail_options(path, schedule, num_queues, sopts, tail_opts)
+        None => WatchSession::with_tail_options(&path, schedule, num_queues, sopts, tail_opts)
             .map_err(|e| e.to_string())?,
     };
     println!(
@@ -589,7 +599,6 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
         "{:<7} {:>16} {:>7} {:>10} {:>12} {:>10} {:>8}",
         "window", "span", "tasks", "λ̂", "max split-R̂", "min ESS", "lag"
     );
-    let out_path = flags.get("out").cloned();
     // No external signal-handling dependency: the stop flag stays the
     // library-level shutdown hook for embedders; the CLI terminates via
     // the idle-poll budget (or a gate violation raising the flag below).
@@ -717,9 +726,9 @@ fn cmd_watch(flags: &HashMap<String, String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory CSV to {p}");
     }
-    if let Some(p) = flags.get("json") {
+    if let Some(p) = json_path {
         let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(p, json).map_err(|e| e.to_string())?;
+        std::fs::write(&p, json).map_err(|e| e.to_string())?;
         eprintln!("wrote trajectory JSON to {p}");
     }
     println!("fingerprint={}", traj.fingerprint_digest());
@@ -747,14 +756,13 @@ fn monotonic_secs() -> f64 {
     START.get_or_init(Instant::now).elapsed().as_secs_f64()
 }
 
-/// `qni lint [--json] [--sarif FILE] [path-prefix ...]` — run the
+/// `qni lint [--json] [path-prefix ...]` — run the
 /// workspace static analysis (same engine and scan policy as the
 /// `qni-lint` CI binary). Unfiltered runs also enforce the `lint.toml`
 /// suppression budget. Exits 0 when clean, 1 on unsuppressed violations
 /// or budget overrun, 2 on usage or I/O errors.
 fn cmd_lint(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut sarif_out: Option<String> = None;
     let mut filters: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -763,16 +771,8 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 json = true;
                 i += 1;
             }
-            "--sarif" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("error: --sarif needs a file path");
-                    return ExitCode::from(2);
-                };
-                sarif_out = Some(path.clone());
-                i += 2;
-            }
             "--help" => {
-                println!("usage: qni lint [--json] [--sarif FILE] [path-prefix ...]");
+                println!("usage: qni lint [--json] [path-prefix ...]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with("--") => {
@@ -806,13 +806,6 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(path) = &sarif_out {
-        let sarif = qni_lint::sarif::render_sarif(&report);
-        if let Err(e) = std::fs::write(path, sarif) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(2);
-        }
-    }
     if json {
         match report.render_json() {
             Ok(s) => println!("{s}"),
@@ -847,7 +840,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_volume(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_volume(flags: &mut HashMap<String, String>) -> Result<(), String> {
     use qni::trace::volume::{human_bytes, DeploymentVolume, RecordCost};
     let tasks_per_day = get_usize(flags, "tasks-per-day", 0)? as u64;
     let events_per_task = get_usize(flags, "events-per-task", 0)? as u64;
@@ -855,6 +848,7 @@ fn cmd_volume(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err("volume requires --tasks-per-day and --events-per-task".into());
     }
     let fraction = get_f64(flags, "fraction", 0.01)?;
+    reject_unknown(flags)?;
     let v = DeploymentVolume {
         tasks_per_day,
         events_per_task,

@@ -60,14 +60,14 @@ pub mod prelude {
     pub use qni_core::init::WarmTimes;
     pub use qni_core::localize::{localize, slow_request_attribution, BottleneckKind};
     pub use qni_core::posterior::{posterior_summaries, PosteriorOptions};
-    pub use qni_core::stem::{run_mcem, run_stem, run_stem_warm, McemOptions, StemOptions};
+    pub use qni_core::stem::{run_mcem, run_stem, McemOptions, StemOptions};
     pub use qni_core::stream::{
         run_stream, RateTrajectory, StreamEngine, StreamOptions, WindowEstimate,
     };
     pub use qni_core::watch::{
         options_fingerprint, run_watch, Checkpoint, StepReport, WatchSession, CHECKPOINT_VERSION,
     };
-    pub use qni_core::{BatchMode, DispatchMode, GibbsState, PoolSet, ShardMode, WavePool};
+    pub use qni_core::{BatchMode, GibbsState, PoolSet, ShardMode, WavePool};
     pub use qni_model::ids::{EventId, QueueId, StateId, TaskId};
     pub use qni_model::log::EventLog;
     pub use qni_model::network::QueueingNetwork;

@@ -220,7 +220,7 @@ fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
         "stderr: {stderr}"
     );
 
-    // Invalid --batch value is rejected.
+    // The retired --batch flag is rejected.
     let out = qni()
         .args([
             "infer",
@@ -235,7 +235,7 @@ fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--batch"), "stderr: {stderr}");
 
-    // Explicit scalar mode and a custom burn-in both work end to end.
+    // A custom burn-in works end to end.
     let out = qni()
         .args([
             "infer",
@@ -245,8 +245,6 @@ fn infer_rejects_empty_kept_window_and_bad_batch_flag() {
             "40",
             "--burn-in",
             "10",
-            "--batch",
-            "off",
         ])
         .output()
         .expect("run infer");
@@ -497,9 +495,13 @@ fn shards_flag_is_byte_identical_and_validated() {
     assert!(stderr.contains("--shards must be >= 1"), "stderr: {stderr}");
 }
 
+/// Every subcommand reads a fixed set of flags: a misspelled flag, a
+/// retired one (`--dispatch`, `--batch`), or a flag given twice is a
+/// usage error naming the flag, never a silently ignored or overridden
+/// value.
 #[test]
-fn dispatch_flag_is_byte_identical_and_validated() {
-    let dir = std::env::temp_dir().join("qni-cli-dispatch-test");
+fn unknown_retired_and_repeated_flags_are_rejected() {
+    let dir = std::env::temp_dir().join("qni-cli-flags-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let trace = dir.join("trace.jsonl");
     let out = qni()
@@ -512,9 +514,9 @@ fn dispatch_flag_is_byte_identical_and_validated() {
             "--mu",
             "6",
             "--tasks",
-            "100",
+            "60",
             "--observe",
-            "0.2",
+            "0.3",
             "--seed",
             "9",
             "--out",
@@ -523,82 +525,59 @@ fn dispatch_flag_is_byte_identical_and_validated() {
         .output()
         .expect("run simulate");
     assert!(out.status.success());
-
-    // Wave dispatch is a pure scheduling knob: the persistent pool
-    // (default), an explicit `--dispatch pooled`, and per-wave scoped
-    // threads all print byte-identical output.
-    let infer = |extra: &[&str]| {
-        let mut args = vec![
-            "infer",
-            "--trace",
-            trace.to_str().expect("utf8 path"),
-            "--iterations",
-            "30",
-            "--seed",
-            "3",
-            "--shards",
-            "2",
-        ];
-        args.extend_from_slice(extra);
-        let out = qni().args(&args).output().expect("run infer --dispatch");
-        assert!(
-            out.status.success(),
-            "{extra:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let base = infer(&[]);
-    assert_eq!(base, infer(&["--dispatch", "pooled"]));
-    assert_eq!(base, infer(&["--dispatch", "scoped"]));
-
-    // Streaming too: pooled and scoped stdout match byte for byte.
-    let stream = |extra: &[&str]| {
-        let mut args = vec![
+    let trace = trace.to_str().expect("utf8 path");
+    let commands: [&[&str]; 3] = [
+        &["infer", "--trace", trace, "--iterations", "12"],
+        &[
             "stream",
             "--trace",
-            trace.to_str().expect("utf8 path"),
+            trace,
             "--window",
             "10",
             "--stride",
             "5",
             "--iterations",
-            "30",
-            "--seed",
-            "3",
-            "--shards",
-            "2",
-        ];
-        args.extend_from_slice(extra);
-        let out = qni().args(&args).output().expect("run stream --dispatch");
-        assert!(
-            out.status.success(),
-            "{extra:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    assert_eq!(stream(&[]), stream(&["--dispatch", "scoped"]));
-
-    // Anything but `pooled`/`scoped` is a usage error.
-    let out = qni()
-        .args([
-            "infer",
+            "12",
+        ],
+        &[
+            "watch",
             "--trace",
-            trace.to_str().expect("utf8 path"),
+            trace,
+            "--window",
+            "10",
+            "--stride",
+            "5",
+            "--queues",
+            "3",
+            "--poll-ms",
+            "1",
+            "--idle-polls",
+            "1",
             "--iterations",
-            "30",
-            "--dispatch",
-            "threads",
-        ])
-        .output()
-        .expect("run infer --dispatch threads");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--dispatch: expected `pooled` or `scoped`"),
-        "stderr: {stderr}"
-    );
+            "12",
+        ],
+    ];
+    let cases: [(&[&str], &str); 4] = [
+        (&["--sahrds", "4"], "unknown flag --sahrds"),
+        (&["--dispatch", "scoped"], "unknown flag --dispatch"),
+        (&["--batch", "off"], "unknown flag --batch"),
+        (
+            &["--iterations", "40"],
+            "flag --iterations given more than once",
+        ),
+    ];
+    for command in commands {
+        for (extra, message) in cases {
+            let out = qni().args(command).args(extra).output().expect("run qni");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !out.status.success(),
+                "{command:?} {extra:?} must fail, stdout: {}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+            assert!(stderr.contains(message), "{command:?} {extra:?}: {stderr}");
+        }
+    }
 }
 
 #[test]

@@ -179,47 +179,6 @@ fn stream_trajectory_byte_identity_across_runs_shards_and_chains() {
     assert_ne!(a.fingerprint(), b.fingerprint());
 }
 
-/// Wave dispatch (persistent pool vs per-wave scoped threads) is a pure
-/// scheduling knob: pooled and scoped streams produce identical
-/// trajectory bytes at every chain count, so the engine's long-lived
-/// `PoolSet` never leaks into the numbers.
-#[test]
-fn stream_trajectory_byte_identity_across_dispatch_modes() {
-    let masked = piecewise_masked(7);
-    let schedule = WindowSchedule::new(40.0, 20.0).expect("schedule");
-    let run = |dispatch: DispatchMode, chains: usize| {
-        let opts = StreamOptions {
-            stem: StemOptions {
-                shard: ShardMode::Sharded(2),
-                dispatch,
-                ..StemOptions::quick_test()
-            },
-            chains,
-            master_seed: 7,
-            thread_budget: None,
-            warm_start: true,
-            warm_burn_in: None,
-            occupancy_carry: true,
-            clock: None,
-        };
-        run_stream(&masked, &schedule, &opts).expect("stream")
-    };
-    for chains in [1usize, 2] {
-        let pooled = run(DispatchMode::Pooled, chains);
-        let scoped = run(DispatchMode::Scoped, chains);
-        assert_eq!(
-            pooled.fingerprint(),
-            scoped.fingerprint(),
-            "chains={chains}: pooled dispatch changed the trajectory bytes"
-        );
-        for (a, b) in pooled.windows.iter().zip(&scoped.windows) {
-            for (x, y) in a.rates.iter().zip(&b.rates) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-}
-
 /// Warm starts change only the chains' starting points: both modes stay
 /// reproducible, and on this scenario both track the switch, but their
 /// trajectories differ.
