@@ -94,11 +94,10 @@ use crate::error::InferenceError;
 use crate::gibbs::pool::PoolSet;
 use crate::init::WarmTimes;
 use crate::stem::StemOptions;
-use qni_model::ids::{QueueId, StateId, TaskId};
-use qni_model::log::{EventLog, EventLogBuilder};
+use qni_model::log::LogInputs;
 use qni_stats::rng::split_seed;
 use qni_trace::window::{
-    occupancy_carry, slice_windows, WindowSchedule, WindowState, WindowTaskState, WindowedLog,
+    occupancy_carry, slice_windows, WindowInputs, WindowSchedule, WindowedLog,
 };
 use qni_trace::MaskedLog;
 use serde::{Deserialize, Serialize};
@@ -386,51 +385,51 @@ impl RateTrajectory {
 /// window's final Gibbs log: every free time of a task shared by both
 /// windows is targeted at its previously imputed value, rebased onto the
 /// new window's clock.
-fn carry_warm_times(prev: &WindowedLog, prev_final: &EventLog, cur: &WindowedLog) -> WarmTimes {
-    // Original-trace event id -> previous window's local id. Sized by
-    // the largest original id the previous window saw, so the live path
-    // needs no whole-trace event count.
-    let table_len = prev
-        .event_mapping()
-        .map(|(_, oe)| oe.index() + 1)
-        .max()
-        .unwrap_or(0);
-    let mut prev_local: Vec<Option<u32>> = vec![None; table_len];
-    for (pe, oe) in prev.event_mapping() {
-        prev_local[oe.index()] = Some(pe.index() as u32);
-    }
+fn carry_warm_times(prev: &WindowInputs, prev_final: &LogInputs, cur: &WindowedLog) -> WarmTimes {
+    // `(arrival, departure)` of the final log's events in event-id
+    // order: each task's q0 event, then its visits.
+    let times: Vec<(f64, f64)> = (prev_final.tasks.iter())
+        .flat_map(|t| std::iter::once((0.0, t.entry)).chain(t.visits.iter().map(|v| (v.2, v.3))))
+        .collect();
     let shift = prev.start - cur.start;
     let cur_log = cur.masked().ground_truth();
     // Sized by the full log (carry events included) — carry events are
     // fully observed, so they simply never gain a target.
     let mut warm = WarmTimes::empty(cur_log.num_events());
     for (we, oe) in cur.event_mapping() {
-        let Some(pe) = prev_local.get(oe.index()).copied().flatten() else {
+        // A window's original event ids increase along its events, so an
+        // event's local id in the previous window is its position there.
+        let Ok(pe) = prev.orig_events.binary_search(&oe) else {
             continue;
         };
-        let pe = qni_model::ids::EventId::from_index(pe as usize);
+        let (arrival, departure) = times[pe];
         if !cur_log.is_initial_event(we) && !cur.masked().mask().arrival_observed(we) {
-            warm.set_transition(we, prev_final.arrival(pe) + shift);
+            warm.set_transition(we, arrival + shift);
         }
         if cur_log.is_final_event(we) && !cur.masked().mask().departure_observed(we) {
-            warm.set_final_departure(we, prev_final.departure(pe) + shift);
+            warm.set_final_departure(we, departure + shift);
         }
     }
     warm
 }
 
-/// State carried from the last fitted window into the next one.
-#[derive(Debug)]
-struct PrevWindow {
+/// State carried from the last fitted window into the next one. It is
+/// also what a checkpoint carries, so both logs are kept as builder
+/// inputs, which the next window reads directly and a resume checks
+/// against the session without building anything.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct PrevWindow {
     /// The fitted window (carry tasks included).
-    window: WindowedLog,
+    pub(crate) window: WindowInputs,
     /// Chain 0's final imputed Gibbs log on that window.
-    final_log: EventLog,
+    pub(crate) final_log: LogInputs,
     /// Uncorrected pooled rates — the sampler-facing warm-start values.
-    pooled: Vec<f64>,
+    #[serde(with = "qni_model::bits")]
+    pub(crate) pooled: Vec<f64>,
     /// λ̂-corrected rates as reported — what carried (empty-window)
     /// estimates repeat.
-    reported: Vec<f64>,
+    #[serde(with = "qni_model::bits")]
+    pub(crate) reported: Vec<f64>,
 }
 
 /// The incremental streaming engine: the persistent cross-window state
@@ -454,9 +453,8 @@ pub struct StreamEngine {
     windows: Vec<WindowEstimate>,
     /// Per-chain persistent wave-prepare pools, reused across every
     /// pushed window (built lazily on the first fit that shards).
-    /// Runtime-only scheduling state: never serialized into
-    /// [`EngineState`], rebuilt on restore, and byte-neutral to
-    /// results (see [`crate::gibbs::pool`]).
+    /// Runtime-only scheduling state: never checkpointed, rebuilt on
+    /// resume, and byte-neutral to results (see [`crate::gibbs::pool`]).
     pools: PoolSet,
 }
 
@@ -608,8 +606,8 @@ impl StreamEngine {
         // the uncorrected pooled rates donate the next initial rates.
         let donor = r.chains.swap_remove(0).final_log;
         self.prev = Some(PrevWindow {
-            window,
-            final_log: donor,
+            window: window.inputs(),
+            final_log: donor.inputs(),
             pooled: r.rates,
             reported: rates,
         });
@@ -646,233 +644,131 @@ impl StreamEngine {
         }
     }
 
-    /// Captures the engine's full resume state — every emitted estimate
-    /// plus the carried previous window (its log, chain-0 final Gibbs
-    /// log, and pooled/reported rates), all floats bit-encoded. A
-    /// restored engine's subsequent pushes are bit-identical because
-    /// window `w` seeds from `split_seed(master_seed, w)` — no RNG
-    /// state crosses windows, only the data captured here.
-    pub fn state(&self) -> EngineState {
+    /// The engine's resume state: every emitted estimate and the carried
+    /// previous window. A restored engine's subsequent pushes are
+    /// bit-identical because window `w` seeds from
+    /// `split_seed(master_seed, w)` — no RNG state crosses windows, only
+    /// the data held here.
+    pub(crate) fn state(&self) -> EngineState {
         EngineState {
-            windows: self
-                .windows
-                .iter()
-                .map(WindowEstimateState::from_estimate)
-                .collect(),
-            prev: self.prev.as_ref().map(|p| PrevWindowState {
-                window: p.window.to_state(),
-                final_log: FinalLogState::from_log(&p.final_log),
-                pooled_bits: p.pooled.iter().map(|v| v.to_bits()).collect(),
-                reported_bits: p.reported.iter().map(|v| v.to_bits()).collect(),
-            }),
+            windows: self.windows.clone(),
+            prev: self.prev.clone(),
         }
     }
 
-    /// Rebuilds the engine an [`EngineState`] was captured from.
-    /// `schedule`, `num_queues`, and `opts` must match the original
-    /// run's (the checkpoint layer's options fingerprint enforces
-    /// this); the next [`StreamEngine::push_window`] then continues the
-    /// stream bit-identically.
-    pub fn restore(
+    /// Rebuilds the engine an [`EngineState`] was taken from, under the
+    /// original run's `schedule`, `num_queues` and `opts`. State read
+    /// from untrusted bytes must first pass the checks of
+    /// [`crate::watch::WatchSession::resume`].
+    pub(crate) fn restore(
         schedule: WindowSchedule,
         num_queues: usize,
         opts: StreamOptions,
         state: &EngineState,
     ) -> Result<Self, InferenceError> {
         let mut engine = StreamEngine::new(schedule, num_queues, opts)?;
-        engine.windows = state
-            .windows
-            .iter()
-            .map(WindowEstimateState::to_estimate)
-            .collect();
-        engine.prev = match &state.prev {
-            Some(p) => Some(PrevWindow {
-                window: WindowedLog::from_state(&p.window)?,
-                final_log: p.final_log.to_log()?,
-                pooled: p.pooled_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                reported: p.reported_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-            }),
-            None => None,
-        };
+        engine.windows.clone_from(&state.windows);
+        engine.prev.clone_from(&state.prev);
         Ok(engine)
     }
 }
 
-/// Bit-exact serializable form of one [`WindowEstimate`]: every float
-/// is stored as `f64::to_bits` so NaN diagnostics (carried windows) and
-/// signed zeros survive JSON round-trips unperturbed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowEstimateState {
-    /// Window index in the schedule.
-    pub index: u64,
-    /// Window start, bit-encoded.
-    pub start_bits: u64,
-    /// Window end, bit-encoded.
-    pub end_bits: u64,
-    /// Tasks owned by the window.
-    pub tasks: u64,
-    /// Events in the window's log.
-    pub events: u64,
-    /// Injected occupancy-carry tasks.
-    pub carry_tasks: u64,
-    /// Free (resampled) variables.
-    pub free_variables: u64,
-    /// Whether the window was warm-started.
-    pub warm_started: bool,
-    /// Whether the estimate was carried from the previous window.
-    pub carried: bool,
-    /// Per-queue rates, bit-encoded.
-    pub rates_bits: Vec<u64>,
-    /// Per-queue mean service times, bit-encoded.
-    pub mean_service_bits: Vec<u64>,
-    /// Per-queue split-R̂, bit-encoded.
-    pub split_rhat_bits: Vec<u64>,
-    /// Per-queue pooled ESS, bit-encoded.
-    pub ess_bits: Vec<u64>,
-    /// Wall seconds spent on the window, bit-encoded (preserved so a
-    /// resumed run's CSV keeps the pre-crash timings).
-    pub wall_secs_bits: u64,
-}
-
-impl WindowEstimateState {
-    fn from_estimate(w: &WindowEstimate) -> Self {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
-        WindowEstimateState {
-            index: w.index as u64,
-            start_bits: w.start.to_bits(),
-            end_bits: w.end.to_bits(),
-            tasks: w.tasks as u64,
-            events: w.events as u64,
-            carry_tasks: w.carry_tasks as u64,
-            free_variables: w.free_variables as u64,
-            warm_started: w.warm_started,
-            carried: w.carried,
-            rates_bits: bits(&w.rates),
-            mean_service_bits: bits(&w.mean_service),
-            split_rhat_bits: bits(&w.split_rhat),
-            ess_bits: bits(&w.ess),
-            wall_secs_bits: w.wall_secs.to_bits(),
-        }
-    }
-
-    fn to_estimate(&self) -> WindowEstimate {
-        let floats = |v: &[u64]| v.iter().map(|&b| f64::from_bits(b)).collect();
-        WindowEstimate {
-            index: self.index as usize,
-            start: f64::from_bits(self.start_bits),
-            end: f64::from_bits(self.end_bits),
-            tasks: self.tasks as usize,
-            events: self.events as usize,
-            carry_tasks: self.carry_tasks as usize,
-            free_variables: self.free_variables as usize,
-            warm_started: self.warm_started,
-            carried: self.carried,
-            rates: floats(&self.rates_bits),
-            mean_service: floats(&self.mean_service_bits),
-            split_rhat: floats(&self.split_rhat_bits),
-            ess: floats(&self.ess_bits),
-            wall_secs: f64::from_bits(self.wall_secs_bits),
-        }
-    }
-}
-
-/// Serializable form of a carried final Gibbs [`EventLog`]: exactly the
-/// `EventLogBuilder` inputs that reproduce it (the same scheme as
-/// [`WindowState`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FinalLogState {
-    /// Queue count including q0.
-    pub num_queues: u64,
-    /// FSM state of the synthesized initial q0 events.
-    pub initial_state: u32,
-    /// Per-task builder inputs, in log task order.
-    pub tasks: Vec<WindowTaskState>,
-}
-
-impl FinalLogState {
-    fn from_log(log: &EventLog) -> Self {
-        let initial_state = log
-            .task_events(TaskId::from_index(0))
-            .first()
-            .map_or(0, |&e| log.state_of(e).index() as u32);
-        let mut tasks = Vec::with_capacity(log.num_tasks());
-        for k in 0..log.num_tasks() {
-            let k = TaskId::from_index(k);
-            let events = log.task_events(k);
-            let visits: Vec<_> = events[1..]
-                .iter()
-                .map(|&e| {
-                    (
-                        log.state_of(e).index() as u32,
-                        log.queue_of(e).index() as u32,
-                        log.arrival(e).to_bits(),
-                        log.departure(e).to_bits(),
-                    )
-                })
-                .collect();
-            tasks.push(WindowTaskState {
-                entry_bits: log.task_entry(k).to_bits(),
-                visits,
-            });
-        }
-        FinalLogState {
-            num_queues: log.num_queues() as u64,
-            initial_state,
-            tasks,
-        }
-    }
-
-    fn to_log(&self) -> Result<EventLog, InferenceError> {
-        let mut builder = EventLogBuilder::new(
-            self.num_queues as usize,
-            StateId::from_index(self.initial_state as usize),
-        );
-        for t in &self.tasks {
-            let visits: Vec<_> = t
-                .visits
-                .iter()
-                .map(|&(s, q, a, d)| {
-                    (
-                        StateId::from_index(s as usize),
-                        QueueId::from_index(q as usize),
-                        f64::from_bits(a),
-                        f64::from_bits(d),
-                    )
-                })
-                .collect();
-            builder
-                .add_task(f64::from_bits(t.entry_bits), &visits)
-                .map_err(InferenceError::Model)?;
-        }
-        builder.build().map_err(InferenceError::Model)
-    }
-}
-
-/// Serializable form of the engine's carried previous-window state
-/// (`PrevWindow`: the fitted window, its final Gibbs log, and the
-/// pooled/reported rates that seed the next warm start).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrevWindowState {
-    /// The fitted window, carry tasks included.
-    pub window: WindowState,
-    /// Chain 0's final imputed Gibbs log on that window.
-    pub final_log: FinalLogState,
-    /// Uncorrected pooled rates, bit-encoded.
-    pub pooled_bits: Vec<u64>,
-    /// λ̂-corrected reported rates, bit-encoded.
-    pub reported_bits: Vec<u64>,
-}
-
-/// The full serializable resume state of a [`StreamEngine`] (see
-/// [`StreamEngine::state`]). Schedule, queue count, and options are
-/// *not* embedded — the checkpoint layer fingerprints them and rejects
-/// mismatched resumes wholesale.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A [`StreamEngine`]'s resume state as a checkpoint holds it: the
+/// emitted estimates and the carried previous window. Schedule, queue
+/// count and options are *not* embedded — the checkpoint fingerprints
+/// them and rejects a resume under others.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineState {
     /// Every emitted window estimate, in window order.
-    pub windows: Vec<WindowEstimateState>,
-    /// The carried previous window, if any window has been fitted.
-    pub prev: Option<PrevWindowState>,
+    #[serde(with = "exact_estimates")]
+    pub(crate) windows: Vec<WindowEstimate>,
+    /// The carried previous window, once a window has been fitted.
+    pub(crate) prev: Option<PrevWindow>,
+}
+
+/// The checkpoint form of the estimates. [`WindowEstimate`]'s derived
+/// form is what `--json` writes, with NaN and ±∞ (a carried window's
+/// diagnostics, an infinite R̂) as `null`; this one keeps every float
+/// bit-exact.
+mod exact_estimates {
+    use super::WindowEstimate;
+    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+
+    #[derive(Serialize, Deserialize)]
+    struct Exact {
+        index: usize,
+        #[serde(with = "qni_model::bits")]
+        start: f64,
+        #[serde(with = "qni_model::bits")]
+        end: f64,
+        tasks: usize,
+        events: usize,
+        carry_tasks: usize,
+        free_variables: usize,
+        warm_started: bool,
+        carried: bool,
+        #[serde(with = "qni_model::bits")]
+        rates: Vec<f64>,
+        #[serde(with = "qni_model::bits")]
+        mean_service: Vec<f64>,
+        #[serde(with = "qni_model::bits")]
+        split_rhat: Vec<f64>,
+        #[serde(with = "qni_model::bits")]
+        ess: Vec<f64>,
+        #[serde(with = "qni_model::bits")]
+        wall_secs: f64,
+    }
+
+    pub(super) fn serialize<S: Serializer>(
+        windows: &[WindowEstimate],
+        serializer: S,
+    ) -> Result<S::Ok, S::Error> {
+        let exact: Vec<Exact> = windows
+            .iter()
+            .map(|w| Exact {
+                index: w.index,
+                start: w.start,
+                end: w.end,
+                tasks: w.tasks,
+                events: w.events,
+                carry_tasks: w.carry_tasks,
+                free_variables: w.free_variables,
+                warm_started: w.warm_started,
+                carried: w.carried,
+                rates: w.rates.clone(),
+                mean_service: w.mean_service.clone(),
+                split_rhat: w.split_rhat.clone(),
+                ess: w.ess.clone(),
+                wall_secs: w.wall_secs,
+            })
+            .collect();
+        exact.serialize(serializer)
+    }
+
+    pub(super) fn deserialize<'de, D: Deserializer<'de>>(
+        deserializer: D,
+    ) -> Result<Vec<WindowEstimate>, D::Error> {
+        let exact = Vec::<Exact>::deserialize(deserializer)?;
+        Ok(exact
+            .into_iter()
+            .map(|w| WindowEstimate {
+                index: w.index,
+                start: w.start,
+                end: w.end,
+                tasks: w.tasks,
+                events: w.events,
+                carry_tasks: w.carry_tasks,
+                free_variables: w.free_variables,
+                warm_started: w.warm_started,
+                carried: w.carried,
+                rates: w.rates,
+                mean_service: w.mean_service,
+                split_rhat: w.split_rhat,
+                ess: w.ess,
+                wall_secs: w.wall_secs,
+            })
+            .collect())
+    }
 }
 
 /// Runs streaming StEM over `masked` under the window `schedule` by
@@ -1118,10 +1014,10 @@ mod tests {
             {
                 first.push_window(window).unwrap();
             }
-            let state = first.state();
-            let json = serde_json::to_string(&state).unwrap();
+            let json = serde_json::to_string(&first.state()).unwrap();
             let back: EngineState = serde_json::from_str(&json).unwrap();
-            assert_eq!(state, back, "cut {cut}: JSON round-trip");
+            let again = serde_json::to_string(&back).unwrap();
+            assert_eq!(again, json, "cut {cut}: JSON round-trip");
             let mut resumed = StreamEngine::restore(schedule, 2, opts.clone(), &back).unwrap();
             assert_eq!(resumed.num_windows(), cut);
             for window in slice_windows(&masked, &schedule)

@@ -31,8 +31,11 @@
 use crate::error::InferenceError;
 use crate::init::InitStrategy;
 use crate::stream::{EngineState, RateTrajectory, StreamEngine, StreamOptions, WindowEstimate};
+use qni_model::ids::QueueId;
+use qni_model::log::LogInputs;
 use qni_trace::tail::{TailOptions, TailReader, TailSnapshot, TailStats};
-use qni_trace::window::{LiveSlicer, SlicerState, WindowSchedule};
+use qni_trace::window::{LiveSlicer, WindowSchedule};
+use qni_trace::TraceError;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,21 +87,32 @@ pub struct StepReport {
 
 /// Checkpoint format version; bumped whenever the serialized layout
 /// changes incompatibly.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// A crash-consistent snapshot of a whole [`WatchSession`]: the tail
-/// position (offset + held partial line), the slicer's buffered tasks,
-/// and the stream engine's carried state. Every float inside is
-/// bit-encoded, so a resumed session continues the stream with a final
-/// [`RateTrajectory::fingerprint_digest`] byte-identical to an
-/// uninterrupted run's.
+/// A crash-consistent snapshot of a whole [`WatchSession`], in the serde
+/// form of the session's own parts:
 ///
-/// The checkpoint does *not* embed the schedule or options; instead it
-/// records a fingerprint of every byte-affecting knob
-/// ([`options_fingerprint`]) and [`WatchSession::resume`] rejects a
-/// resume under a different configuration — silently continuing with
-/// changed options would break the byte-identity contract undetectably.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// - the tail's position and counters, with any held partial line
+///   ([`TailSnapshot`]);
+/// - the slicer itself ([`LiveSlicer`]): its buffered tasks and the
+///   in-progress task's records;
+/// - the stream engine's state ([`EngineState`]): every emitted
+///   estimate, plus the last fitted window and chain 0's final imputed
+///   log on it, both logs as builder inputs
+///   ([`qni_model::log::LogInputs`]).
+///
+/// Every float goes through the bit-exact codec [`qni_model::bits`]
+/// except the in-progress task's record times, which are finite (the
+/// trace codec rejects others) and round-trip exactly as JSON numbers. A
+/// resumed session therefore ends on the
+/// [`RateTrajectory::fingerprint_digest`] of an uninterrupted run.
+///
+/// The checkpoint does *not* embed the options; instead it records a
+/// fingerprint of every byte-affecting knob ([`options_fingerprint`]).
+/// [`WatchSession::resume`] refuses a checkpoint written under other
+/// options or by another [`CHECKPOINT_VERSION`], and one whose parts
+/// disagree with each other or with the session.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
     /// Format version ([`CHECKPOINT_VERSION`]).
     pub version: u32,
@@ -107,8 +121,8 @@ pub struct Checkpoint {
     pub options_fingerprint: u64,
     /// Tail reader position and counters.
     pub tail: TailSnapshot,
-    /// Live slicer buffers.
-    pub slicer: SlicerState,
+    /// The live slicer.
+    pub slicer: LiveSlicer,
     /// Stream engine estimates and carried window.
     pub engine: EngineState,
     /// Total records ingested.
@@ -117,6 +131,13 @@ pub struct Checkpoint {
     pub peak_open_spans: u64,
     /// Peak buffered-task count so far.
     pub peak_buffered_tasks: u64,
+}
+
+/// The first thing [`Checkpoint::load`] reads: a checkpoint of another
+/// version is refused before its layout is.
+#[derive(Deserialize)]
+struct Version {
+    version: u32,
 }
 
 impl Checkpoint {
@@ -137,13 +158,151 @@ impl Checkpoint {
     }
 
     /// Loads a checkpoint previously written by
-    /// [`Checkpoint::save_atomic`].
+    /// [`Checkpoint::save_atomic`]. A checkpoint of another
+    /// [`CHECKPOINT_VERSION`] is refused with the version error.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, InferenceError> {
         let json = std::fs::read_to_string(path)
             .map_err(|e| InferenceError::Trace(qni_trace::TraceError::Io(e)))?;
-        serde_json::from_str(&json)
-            .map_err(|e| InferenceError::Trace(qni_trace::TraceError::Serde(e)))
+        let serde_err = |e| InferenceError::Trace(qni_trace::TraceError::Serde(e));
+        let Version { version } = serde_json::from_str(&json).map_err(serde_err)?;
+        check_version(version)?;
+        serde_json::from_str(&json).map_err(serde_err)
     }
+
+    /// Every check a resume makes, before it uses any part: the version,
+    /// the options fingerprint, then the parts against the session's
+    /// `schedule` and `num_queues` and against each other. A checkpoint
+    /// that passes continues the stream it was written from without a
+    /// panic or an allocation beyond its own size.
+    fn check(
+        &self,
+        schedule: &WindowSchedule,
+        num_queues: usize,
+        options_fingerprint: u64,
+    ) -> Result<(), InferenceError> {
+        check_version(self.version)?;
+        if self.options_fingerprint != options_fingerprint {
+            return Err(InferenceError::BadOptions {
+                what: "checkpoint was written under a different schedule/options \
+                       configuration; resuming would break byte-identity",
+            });
+        }
+        self.slicer.check(schedule, num_queues)?;
+        let windows = &self.engine.windows;
+        let next = self.slicer.next_window_index();
+        ensure(next == windows.len(), "slicer", || {
+            format!(
+                "next window is {next}, the engine has fitted {}",
+                windows.len()
+            )
+        })?;
+        let in_schedule = |index: usize, start: f64, end: f64| {
+            let (s, e) = schedule.span(index);
+            start.to_bits() == s.to_bits() && end.to_bits() == e.to_bits()
+        };
+        for (i, w) in windows.iter().enumerate() {
+            let per_queue = [&w.rates, &w.mean_service, &w.split_rhat, &w.ess];
+            let ok = w.index == i
+                && in_schedule(i, w.start, w.end)
+                && per_queue.iter().all(|v| v.len() == num_queues);
+            ensure(ok, &format!("engine.windows[{i}]"), || {
+                format!(
+                    "is window {} over [{}, {}) with {} rates, not the schedule's window {i}",
+                    w.index,
+                    w.start,
+                    w.end,
+                    w.rates.len()
+                )
+            })?;
+        }
+        // The carried window is the last fitted one: later windows were
+        // empty, and before the first fit there is none.
+        let last_fit = windows.iter().rposition(|w| !w.carried);
+        let Some(prev) = &self.engine.prev else {
+            return ensure(last_fit.is_none(), "engine.prev", || {
+                "is missing".to_owned()
+            });
+        };
+        let w = &prev.window;
+        ensure(
+            last_fit == Some(w.index) && in_schedule(w.index, w.start, w.end),
+            "engine.prev.window",
+            || format!("is window {}, the last fitted one {last_fit:?}", w.index),
+        )?;
+        check_log("engine.prev.window.log", &w.log, num_queues)?;
+        check_log("engine.prev.final_log", &prev.final_log, num_queues)?;
+        let (events, tasks) = (w.log.num_events(), w.log.tasks.len());
+        let carry_events = w.carry_tasks.checked_mul(2);
+        let ok = w.mask.len() == events
+            && carry_events.and_then(|c| c.checked_add(w.orig_events.len())) == Some(events)
+            && w.orig_tasks.len().checked_add(w.carry_tasks) == Some(tasks)
+            && w.orig_events.windows(2).all(|p| p[0] < p[1]);
+        ensure(ok, "engine.prev.window", || {
+            format!(
+                "has {} mask entries, {} increasing original ids and {} carry tasks \
+                 for {events} events, {} original tasks for {tasks} tasks",
+                w.mask.len(),
+                w.orig_events.len(),
+                w.carry_tasks,
+                w.orig_tasks.len()
+            )
+        })?;
+        let final_shape = prev.final_log.tasks.iter().map(|t| t.visits.len());
+        ensure(
+            final_shape.eq(w.log.tasks.iter().map(|t| t.visits.len())),
+            "engine.prev.final_log",
+            || "differs in tasks or visits per task from the carried window".to_owned(),
+        )?;
+        ensure(
+            prev.pooled.len() == num_queues && prev.reported.len() == num_queues,
+            "engine.prev",
+            || "does not have one pooled and reported rate per queue".to_owned(),
+        )
+    }
+}
+
+/// The error for a checkpoint of another format version.
+fn check_version(version: u32) -> Result<(), InferenceError> {
+    if version == CHECKPOINT_VERSION {
+        Ok(())
+    } else {
+        Err(InferenceError::BadOptions {
+            what: "checkpoint format version is not supported by this build",
+        })
+    }
+}
+
+/// Fails with the typed error naming checkpoint `part` unless `ok`.
+fn ensure(ok: bool, part: &str, what: impl FnOnce() -> String) -> Result<(), InferenceError> {
+    if ok {
+        return Ok(());
+    }
+    Err(InferenceError::Trace(TraceError::BadCheckpoint {
+        part: part.to_owned(),
+        what: what(),
+    }))
+}
+
+/// Checks a carried log's inputs before the engine reads them: the
+/// session's queue count, finite times, and at least one visit per
+/// task, each at a service queue.
+fn check_log(part: &str, log: &LogInputs, num_queues: usize) -> Result<(), InferenceError> {
+    ensure(log.num_queues == num_queues, part, || {
+        format!("has {} queues, the session {num_queues}", log.num_queues)
+    })?;
+    for (k, t) in log.tasks.iter().enumerate() {
+        let service = |q: QueueId| !q.is_initial() && q.index() < num_queues;
+        let visits_ok =
+            (t.visits.iter()).all(|v| service(v.1) && v.2.is_finite() && v.3.is_finite());
+        ensure(
+            !t.visits.is_empty() && t.entry.is_finite() && visits_ok,
+            part,
+            || {
+                format!("task {k} has no visit, a non-finite time, or a visit outside the service queues")
+            },
+        )?;
+    }
+    Ok(())
 }
 
 /// Fingerprints every configuration knob that affects the stream's
@@ -239,9 +398,11 @@ impl WatchSession {
 
     /// Reopens a session from a [`Checkpoint`], positioned to continue
     /// the stream bit-identically. `schedule`, `num_queues`, and `opts`
-    /// must fingerprint to the checkpoint's recorded configuration;
-    /// mismatches are rejected (resuming under different options would
-    /// silently break the byte-identity contract).
+    /// must fingerprint to the checkpoint's recorded configuration, and
+    /// the checkpoint's parts must agree with each other and with the
+    /// session; otherwise the resume is refused with a typed error
+    /// before any part is used (continuing would silently break the
+    /// byte-identity contract, or panic).
     pub fn resume<P: AsRef<Path>>(
         path: P,
         schedule: WindowSchedule,
@@ -250,21 +411,11 @@ impl WatchSession {
         tail: TailOptions,
         checkpoint: &Checkpoint,
     ) -> Result<Self, InferenceError> {
-        if checkpoint.version != CHECKPOINT_VERSION {
-            return Err(InferenceError::BadOptions {
-                what: "checkpoint format version is not supported by this build",
-            });
-        }
         let options_fingerprint = options_fingerprint(&schedule, num_queues, &opts);
-        if checkpoint.options_fingerprint != options_fingerprint {
-            return Err(InferenceError::BadOptions {
-                what: "checkpoint was written under a different schedule/options \
-                       configuration; resuming would break byte-identity",
-            });
-        }
+        checkpoint.check(&schedule, num_queues, options_fingerprint)?;
         Ok(WatchSession {
             tail: TailReader::restore(path, &checkpoint.tail, tail),
-            slicer: LiveSlicer::restore(schedule, num_queues, &checkpoint.slicer)?,
+            slicer: checkpoint.slicer.clone(),
             engine: StreamEngine::restore(schedule, num_queues, opts, &checkpoint.engine)?,
             options_fingerprint,
             records_seen: checkpoint.records_seen as usize,
@@ -279,7 +430,7 @@ impl WatchSession {
             version: CHECKPOINT_VERSION,
             options_fingerprint: self.options_fingerprint,
             tail: self.tail.snapshot(),
-            slicer: self.slicer.snapshot(),
+            slicer: self.slicer.clone(),
             engine: self.engine.state(),
             records_seen: self.records_seen as u64,
             peak_open_spans: self.peak_open_spans as u64,
@@ -422,6 +573,7 @@ where
 mod tests {
     use super::*;
     use crate::stream::run_stream;
+    use qni_model::ids::{QueueId, StateId, TaskId};
     use qni_trace::record::{to_records, write_jsonl};
     use qni_trace::{MaskedLog, ObservationScheme};
     use std::io::Write;
@@ -571,7 +723,10 @@ mod tests {
         assert!(report.total_windows > 0, "no window fitted before the cut");
         session.checkpoint().save_atomic(&cp_path).unwrap();
         let loaded = Checkpoint::load(&cp_path).unwrap();
-        assert_eq!(loaded, session.checkpoint());
+        assert_eq!(
+            serde_json::to_string(&loaded).unwrap(),
+            std::fs::read_to_string(&cp_path).unwrap()
+        );
         drop(session); // the "crash"
 
         let mut resumed = WatchSession::resume(
@@ -618,6 +773,81 @@ mod tests {
         .is_err());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&cp_path).unwrap();
+    }
+
+    /// Every edit a resume can meet in a checkpoint's parts — a carried
+    /// final log whose shape differs from its window's, a log for another
+    /// queue count or visiting a queue the session lacks, estimates that
+    /// are not the schedule's, a slicer ahead of the engine, rates of the
+    /// wrong length, a carried window whose mask, original ids or carry
+    /// counts do not cover its log — is refused with a typed error naming
+    /// the part, before anything is built.
+    #[test]
+    fn resume_rejects_inconsistent_checkpoint_parts() {
+        let masked = piecewise_masked(25);
+        let schedule = WindowSchedule::new(20.0, 10.0).unwrap();
+        let opts = StreamOptions::quick_test();
+        let mut bytes = Vec::new();
+        write_jsonl(&masked, &mut bytes).unwrap();
+        let path = tmp_path("edited");
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let mut session = WatchSession::new(&path, schedule, 2, opts.clone()).unwrap();
+        session.step().unwrap();
+        let cp = session.checkpoint();
+        let resume = |cp: &Checkpoint| {
+            WatchSession::resume(&path, schedule, 2, opts.clone(), TailOptions::default(), cp)
+        };
+        resume(&cp).expect("the unedited checkpoint resumes");
+        let json = serde_json::to_string(&cp).unwrap();
+        assert!(!json.contains("\"observed_entry\"") && !json.contains("_bits"));
+        let rejects = |part: &str, edit: &dyn Fn(&mut Checkpoint)| {
+            let mut bad = cp.clone();
+            edit(&mut bad);
+            match resume(&bad) {
+                Err(InferenceError::Trace(TraceError::BadCheckpoint { part: p, what })) => {
+                    assert_eq!(p, part, "{what}");
+                }
+                other => panic!("{part}: {other:?}"),
+            }
+        };
+        fn p(cp: &mut Checkpoint) -> &mut crate::stream::PrevWindow {
+            cp.engine.prev.as_mut().unwrap()
+        }
+        let (log, fin) = ("engine.prev.window.log", "engine.prev.final_log");
+        let (win, prev) = ("engine.prev.window", "engine.prev");
+        rejects(fin, &|c| drop(p(c).final_log.tasks.pop()));
+        rejects(fin, &|c| {
+            p(c).final_log.tasks[0]
+                .visits
+                .push((StateId(1), QueueId(1), 0.0, 0.0))
+        });
+        rejects(log, &|c| p(c).window.log.num_queues = 1_000_000_000_000);
+        rejects(fin, &|c| p(c).final_log.num_queues = 1_000_000_000_000);
+        rejects(fin, &|c| {
+            p(c).final_log.tasks[0].visits[0].1 = QueueId(u32::MAX)
+        });
+        rejects(fin, &|c| p(c).final_log.tasks[0].entry = f64::NAN);
+        rejects("engine.windows[0]", &|c| {
+            c.engine.windows[0].rates.truncate(1)
+        });
+        rejects("engine.windows[1]", &|c| c.engine.windows[1].index = 7);
+        rejects("engine.windows[1]", &|c| c.engine.windows[1].end += 1.0);
+        rejects("slicer", &|c| drop(c.engine.windows.pop()));
+        rejects(prev, &|c| p(c).pooled.truncate(1));
+        rejects(prev, &|c| p(c).reported.push(1.0));
+        rejects(win, &|c| p(c).window.mask.push(true, true));
+        rejects(win, &|c| p(c).window.orig_events.truncate(3));
+        rejects(win, &|c| p(c).window.orig_tasks.push(TaskId(0)));
+        rejects(win, &|c| p(c).window.orig_events.swap(0, 1));
+        // The slicer's next window is private to it: edit the JSON.
+        let needle = format!("\"next_window\":{}", cp.slicer.next_window_index());
+        let edited = json.replacen(&needle, "\"next_window\":9223372036854775808", 1);
+        let err = resume(&serde_json::from_str(&edited).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("checkpoint slicer: next window"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Byte-neutral execution knobs (shard mode, thread budget, clock)

@@ -8,6 +8,8 @@
 //!
 //! The key objects are:
 //!
+//! - [`bits`]: the bit-exact `f64` serde codec every checkpointed float
+//!   goes through.
 //! - [`ids`]: strongly-typed indices for queues, tasks, FSM states, and
 //!   events.
 //! - [`fsm::Fsm`]: the task-routing finite-state machine with transition
@@ -36,6 +38,7 @@
 //! assert_eq!(t.tiers.len(), 3);
 //! ```
 
+pub mod bits;
 pub mod constraints;
 pub mod error;
 pub mod event;

@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 /// Construct with [`EventLogBuilder`]. The *arrival order* of events at
 /// each queue is fixed at construction time; the Gibbs sampler relies on
 /// the paper's assumption that this order is known (via event counters)
-/// and never reorders events.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// and never reorders events. The serde form of a log is its builder
+/// inputs, [`LogInputs`].
+#[derive(Debug, Clone)]
 pub struct EventLog {
     events: Vec<Event>,
     /// Per queue: events in arrival order.
@@ -193,6 +194,35 @@ impl EventLog {
         (0..self.events.len()).map(EventId::from_index)
     }
 
+    /// The builder inputs that rebuild this log: [`LogInputs::build`]
+    /// yields the same events under the same ids, in the same task
+    /// order. An empty log records `StateId(0)` as its initial state.
+    pub fn inputs(&self) -> LogInputs {
+        let initial_state = self
+            .task_order
+            .first()
+            .map_or(StateId(0), |order| self.state_of(order[0]));
+        let tasks = self
+            .task_order
+            .iter()
+            .map(|order| TaskInputs {
+                entry: self.departure(order[0]),
+                visits: order[1..]
+                    .iter()
+                    .map(|&e| {
+                        let ev = &self.events[e.index()];
+                        (ev.state, ev.queue, ev.arrival, ev.departure)
+                    })
+                    .collect(),
+            })
+            .collect();
+        LogInputs {
+            num_queues: self.num_queues(),
+            initial_state,
+            tasks,
+        }
+    }
+
     /// Sets the *transition time* of a non-initial event: its arrival and,
     /// simultaneously, the departure of its within-task predecessor, which
     /// are equal by the deterministic constraint `a_e = d_{π(e)}`.
@@ -343,6 +373,53 @@ pub struct QueueAverages {
     pub mean_service: f64,
     /// Mean waiting time (NaN if `count == 0`).
     pub mean_waiting: f64,
+}
+
+/// One task as [`EventLogBuilder::add_task`] takes it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TaskInputs {
+    /// System entry time (the departure of the task's `q0` event).
+    #[serde(with = "crate::bits")]
+    pub entry: f64,
+    /// `(state, queue, arrival, departure)` per queue visit, in task
+    /// order.
+    #[serde(with = "crate::bits")]
+    pub visits: Vec<(StateId, QueueId, f64, f64)>,
+}
+
+/// An [`EventLog`] as the [`EventLogBuilder`] inputs that rebuild it
+/// bit for bit ([`EventLog::inputs`]) — the serde form of a log, times
+/// bit-exact.
+///
+/// Reading one allocates no more than its own text, because nothing is
+/// built yet. [`LogInputs::build`] allocates one order per queue, so a
+/// reader checks `num_queues` against the network it expects first.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LogInputs {
+    /// Queue count, including `q0`.
+    pub num_queues: usize,
+    /// FSM state recorded on every task's `q0` event.
+    pub initial_state: StateId,
+    /// Every task, in log task order.
+    pub tasks: Vec<TaskInputs>,
+}
+
+impl LogInputs {
+    /// Number of events the built log has: each task's `q0` event plus
+    /// one per visit.
+    pub fn num_events(&self) -> usize {
+        self.tasks.iter().map(|t| t.visits.len() + 1).sum()
+    }
+
+    /// Builds the log. Errors as [`EventLogBuilder::add_task`] does, on a
+    /// task with no visit or a visit to `q0` or to a queue out of range.
+    pub fn build(&self) -> Result<EventLog, ModelError> {
+        let mut builder = EventLogBuilder::new(self.num_queues, self.initial_state);
+        for t in &self.tasks {
+            builder.add_task(t.entry, &t.visits)?;
+        }
+        builder.build()
+    }
 }
 
 /// Builder for [`EventLog`].

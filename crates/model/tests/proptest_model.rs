@@ -52,12 +52,15 @@ proptest! {
         }
     }
 
+    /// A log written as its builder inputs and rebuilt is the same log.
     #[test]
     fn serde_round_trip_preserves_log((gaps, services) in gapped_schedule()) {
         let log = build_log(&gaps, &services);
-        let json = serde_json::to_string(&log).expect("serialize");
-        let back: qni_model::log::EventLog =
+        let json = serde_json::to_string(&log.inputs()).expect("serialize");
+        let inputs: qni_model::log::LogInputs =
             serde_json::from_str(&json).expect("deserialize");
+        prop_assert_eq!(inputs.num_events(), log.num_events());
+        let back = inputs.build().expect("rebuild");
         prop_assert_eq!(log.num_events(), back.num_events());
         for e in log.event_ids() {
             prop_assert_eq!(log.event(e), back.event(e));

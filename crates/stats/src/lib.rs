@@ -8,8 +8,8 @@
 //!   reproducible from a single `u64` seed.
 //! - [`logspace`]: numerically stable log-domain primitives
 //!   (`log_sum_exp`, `ln_1m_exp`, ...) used throughout.
-//! - [`exponential`] and [`truncated_exp`]: the exponential family at the
-//!   heart of M/M/1 queues, with stable inverse-CDF sampling.
+//! - [`exponential`]: the exponential law at the heart of M/M/1 queues,
+//!   with stable inverse-CDF sampling.
 //! - [`piecewise`]: the *piecewise log-linear density engine*. The Gibbs
 //!   conditionals derived in the paper (Figure 3) are densities whose
 //!   logarithm is piecewise linear in the resampled time; this module
@@ -49,6 +49,5 @@ pub mod logspace;
 pub mod piecewise;
 pub mod point_process;
 pub mod rng;
-pub mod truncated_exp;
 
 pub use error::StatsError;

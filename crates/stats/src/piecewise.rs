@@ -48,8 +48,11 @@
 
 use crate::error::StatsError;
 use crate::logspace::{log_int_exp_linear, log_int_exp_linear_tail, log_sum_exp};
-use crate::truncated_exp::UNIFORM_REGIME;
 use rand::Rng;
+
+/// Below this `|slope| · width`, a segment is numerically flat and its
+/// mass is its width: the flat branch of the segment build.
+const UNIFORM_REGIME: f64 = 1e-12;
 
 /// The largest `f64` below one: the ceiling of a within-segment uniform.
 const BELOW_ONE: f64 = 1.0 - f64::EPSILON / 2.0;

@@ -73,6 +73,15 @@ pub enum TraceError {
         /// The underlying parse failure.
         message: String,
     },
+    /// A checkpoint read back for a resume disagrees with itself or with
+    /// the resuming session, so continuing from it would panic, allocate
+    /// without bound, or silently produce a different stream.
+    BadCheckpoint {
+        /// The inconsistent part, e.g. `slicer` or `engine.prev`.
+        part: String,
+        /// What disagrees.
+        what: String,
+    },
     /// An I/O failure while tailing a file, with the reader's position
     /// for context (the plain [`TraceError::Io`] stays for path-less
     /// stream I/O).
@@ -127,6 +136,9 @@ impl fmt::Display for TraceError {
                     f,
                     "bad trace line {line} (byte offset {offset}) in {path}: {message}"
                 )
+            }
+            TraceError::BadCheckpoint { part, what } => {
+                write!(f, "inconsistent checkpoint {part}: {what}")
             }
             TraceError::IoAt {
                 path,

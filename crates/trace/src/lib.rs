@@ -49,6 +49,6 @@ pub use tail::{
     LineAssembler, RetryPolicy, RotationPolicy, TailOptions, TailReader, TailSnapshot, TailStats,
 };
 pub use window::{
-    occupancy_carry, slice_windows, LiveSlicer, OccupancyCarry, SlicerState, WindowSchedule,
-    WindowState, WindowedLog,
+    occupancy_carry, slice_windows, LiveSlicer, OccupancyCarry, WindowInputs, WindowSchedule,
+    WindowedLog,
 };

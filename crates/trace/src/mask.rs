@@ -45,6 +45,12 @@ impl ObservedMask {
         self.arrival.is_empty()
     }
 
+    /// Appends one event with the given observation flags.
+    pub fn push(&mut self, arrival: bool, departure: bool) {
+        self.arrival.push(arrival);
+        self.departure.push(departure);
+    }
+
     /// Marks an arrival as observed.
     pub fn observe_arrival(&mut self, e: EventId) {
         self.arrival[e.index()] = true;

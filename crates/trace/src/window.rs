@@ -54,13 +54,22 @@
 //! estimate must be rescaled by `real/(real+carry)` tasks (the streaming
 //! engine does this), since each carry task adds one q0 event with a
 //! zero interarrival gap.
+//!
+//! # Checkpoints
+//!
+//! The resume state of a live tail is the serde form of these types, with
+//! every float bit-exact: a [`LiveSlicer`] is written as its own fields,
+//! and a window as its [`WindowInputs`] (the log as builder inputs, the
+//! mask, the original-trace mappings). Neither is trusted once read:
+//! [`LiveSlicer::check`] compares a read slicer with the session and with
+//! the shape its own pushes give, and the streaming engine's resume
+//! checks a carried window's inputs before using them.
 
 use crate::error::TraceError;
 use crate::mask::{MaskedLog, ObservedMask};
 use crate::record::TraceRecord;
-use qni_model::event::Event;
 use qni_model::ids::{EventId, QueueId, StateId, TaskId};
-use qni_model::log::{EventLog, EventLogBuilder};
+use qni_model::log::{LogInputs, TaskInputs};
 use serde::{Deserialize, Serialize};
 
 /// A `(width, stride)` sliding-window schedule.
@@ -70,10 +79,28 @@ use serde::{Deserialize, Serialize};
 /// what gives warm starts shared tasks to reuse); `stride == width`
 /// tiles the axis; `stride > width` subsamples it (tasks entering
 /// between windows belong to none).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowSchedule {
+    #[serde(with = "qni_model::bits")]
     width: f64,
+    #[serde(with = "qni_model::bits")]
     stride: f64,
+}
+
+/// A schedule is read through [`WindowSchedule::new`], so a read one is
+/// as valid as a constructed one.
+impl<'de> Deserialize<'de> for WindowSchedule {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            #[serde(with = "qni_model::bits")]
+            width: f64,
+            #[serde(with = "qni_model::bits")]
+            stride: f64,
+        }
+        let raw = Raw::deserialize(deserializer)?;
+        WindowSchedule::new(raw.width, raw.stride).map_err(serde::de::Error::custom)
+    }
 }
 
 impl WindowSchedule {
@@ -131,21 +158,28 @@ impl WindowSchedule {
 /// One task of the original trace, in the slicer's intermediate form:
 /// absolute-clock times plus raw observation flags, ready to be rebased
 /// into any window that owns it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct TaskSlice {
     orig_task: TaskId,
     /// Recorded system entry (absolute clock).
+    #[serde(with = "qni_model::bits")]
     entry: f64,
-    /// Membership time: observed entry, first measured time, or the
-    /// recorded entry as fallback (see the module docs).
-    observed_entry: f64,
     /// Queue visits after the q0 entry, on the absolute clock.
+    #[serde(with = "qni_model::bits")]
     visits: Vec<(StateId, QueueId, f64, f64)>,
     /// `(arrival_observed, departure_observed)` per event, including the
     /// q0 initial event at index 0.
     flags: Vec<(bool, bool)>,
     /// Original-trace event ids, including the initial event.
     orig_events: Vec<EventId>,
+}
+
+impl TaskSlice {
+    /// Membership time: observed entry, first measured time, or the
+    /// recorded entry as fallback (see the module docs).
+    fn observed_entry(&self) -> f64 {
+        observed_entry(self.entry, &self.visits, &self.flags)
+    }
 }
 
 /// The membership time of a task: its entry when measured (directly via
@@ -157,7 +191,7 @@ fn observed_entry(
     visits: &[(StateId, QueueId, f64, f64)],
     flags: &[(bool, bool)],
 ) -> f64 {
-    if flags[0].1 || flags.get(1).is_some_and(|f| f.0) {
+    if flags.first().is_some_and(|f| f.1) || flags.get(1).is_some_and(|f| f.0) {
         return entry;
     }
     let mut first = f64::INFINITY;
@@ -193,7 +227,6 @@ pub struct WindowedLog {
     orig_events: Vec<EventId>,
     orig_tasks: Vec<TaskId>,
     carry_tasks: usize,
-    carry_events: usize,
 }
 
 impl WindowedLog {
@@ -224,13 +257,7 @@ impl WindowedLog {
     /// Number of events belonging to carry tasks (two per carry task: the
     /// q0 entry and the occupied queue's visit).
     pub fn carry_events(&self) -> usize {
-        self.carry_events
-    }
-
-    /// Maps a window-local event id back to the original trace's event.
-    /// Carry events (local ids `>= num_events()`) have no original event.
-    pub fn original_event(&self, e: EventId) -> EventId {
-        self.orig_events[e.index()]
+        2 * self.carry_tasks
     }
 
     /// Maps a window-local task id back to the original trace's task.
@@ -247,6 +274,21 @@ impl WindowedLog {
             .iter()
             .enumerate()
             .map(|(i, &orig)| (EventId::from_index(i), orig))
+    }
+
+    /// The inputs this window is built from; building them again yields
+    /// a bit-identical window.
+    pub fn inputs(&self) -> WindowInputs {
+        WindowInputs {
+            index: self.index,
+            start: self.start,
+            end: self.end,
+            log: self.masked.ground_truth().inputs(),
+            mask: self.masked.mask().clone(),
+            orig_events: self.orig_events.clone(),
+            orig_tasks: self.orig_tasks.clone(),
+            carry_tasks: self.carry_tasks,
+        }
     }
 
     /// Returns a copy of this window with the carried server occupancy
@@ -292,47 +334,62 @@ impl WindowedLog {
         if ghosts.is_empty() {
             return Ok(self.clone());
         }
-        let initial_state = initial_state_of(log);
-        let mut builder = EventLogBuilder::new(log.num_queues(), initial_state);
-        let mut flags: Vec<(bool, bool)> = Vec::with_capacity(log.num_events() + 2 * ghosts.len());
-        for k in 0..log.num_tasks() {
-            let k = TaskId::from_index(k);
-            let events = log.task_events(k);
-            let visits: Vec<_> = events[1..]
-                .iter()
-                .map(|&e| {
-                    (
-                        log.state_of(e),
-                        log.queue_of(e),
-                        log.arrival(e),
-                        log.departure(e),
-                    )
-                })
-                .collect();
-            builder.add_task(log.task_entry(k), &visits)?;
-            for &e in events {
-                flags.push((
-                    self.masked.mask().arrival_observed(e),
-                    self.masked.mask().departure_observed(e),
-                ));
-            }
-        }
+        let mut inputs = self.inputs();
         for &(state, q, residual) in &ghosts {
-            builder.add_task(0.0, &[(state, q, 0.0, residual)])?;
+            inputs.log.tasks.push(TaskInputs {
+                entry: 0.0,
+                visits: vec![(state, q, 0.0, residual)],
+            });
             // Carry tasks are fully pinned: the sampler must treat the
             // carried occupancy as data, not as a free variable.
-            flags.push((true, true));
-            flags.push((true, true));
+            inputs.mask.push(true, true);
+            inputs.mask.push(true, true);
         }
+        inputs.carry_tasks += ghosts.len();
+        inputs.build()
+    }
+}
+
+/// Everything a [`WindowedLog`] is built from, and its serde form: the
+/// log as builder inputs, the observation mask, and the mappings back to
+/// the original trace. Sliced windows and windows given carry tasks are
+/// built from these inputs, and the streaming engine carries its last
+/// fitted window, and checkpoints it, in this form.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct WindowInputs {
+    /// Position of the window in the schedule.
+    pub index: usize,
+    /// Window start on the original trace's clock.
+    #[serde(with = "qni_model::bits")]
+    pub start: f64,
+    /// Window end on the original trace's clock.
+    #[serde(with = "qni_model::bits")]
+    pub end: f64,
+    /// The window's log on its own clock, carry tasks last.
+    pub log: LogInputs,
+    /// Which times of the log's events were measured.
+    pub mask: ObservedMask,
+    /// Original-trace event ids of the real events, in log order.
+    pub orig_events: Vec<EventId>,
+    /// Original-trace task ids of the real tasks, in log order.
+    pub orig_tasks: Vec<TaskId>,
+    /// Carry tasks appended after the real tasks.
+    pub carry_tasks: usize,
+}
+
+impl WindowInputs {
+    /// Builds the window. Errors if the builder rejects a task, or if the
+    /// mask does not cover every event of the log
+    /// ([`TraceError::ShapeMismatch`]).
+    fn build(self) -> Result<WindowedLog, TraceError> {
         Ok(WindowedLog {
             index: self.index,
             start: self.start,
             end: self.end,
-            masked: mask_log(builder.build()?, &flags)?,
-            orig_events: self.orig_events.clone(),
-            orig_tasks: self.orig_tasks.clone(),
-            carry_tasks: ghosts.len(),
-            carry_events: 2 * ghosts.len(),
+            masked: MaskedLog::new(self.log.build()?, self.mask)?,
+            orig_events: self.orig_events,
+            orig_tasks: self.orig_tasks,
+            carry_tasks: self.carry_tasks,
         })
     }
 }
@@ -361,15 +418,17 @@ impl OccupancyCarry {
 /// that are *not* members of `cur` (including the previous window's own
 /// carry tasks, which by construction are never shared).
 ///
-/// `prev_final` must have the shape of `prev`'s log (it is the final
-/// Gibbs state of a fit on that window).
+/// `prev` holds the previous window's inputs ([`WindowedLog::inputs`]),
+/// and `prev_final` the inputs of a log of the same shape (the final
+/// Gibbs state of a fit on that window,
+/// [`qni_model::log::EventLog::inputs`]).
 pub fn occupancy_carry(
-    prev: &WindowedLog,
-    prev_final: &EventLog,
+    prev: &WindowInputs,
+    prev_final: &LogInputs,
     cur: &WindowedLog,
 ) -> OccupancyCarry {
-    let mut busy_until = vec![f64::NEG_INFINITY; prev_final.num_queues()];
-    for k in 0..prev_final.num_tasks() {
+    let mut busy_until = vec![f64::NEG_INFINITY; prev_final.num_queues];
+    for (k, task) in prev_final.tasks.iter().enumerate() {
         if let Some(&orig) = prev.orig_tasks.get(k) {
             // Real task: skip if `cur` owns it — its constraints are
             // native there (orig_tasks is in increasing task-id order).
@@ -377,143 +436,61 @@ pub fn occupancy_carry(
                 continue;
             }
         }
-        for &e in prev_final.task_events(TaskId::from_index(k)) {
-            if prev_final.is_initial_event(e) {
-                continue;
-            }
-            let q = prev_final.queue_of(e).index();
-            let depart = prev_final.departure(e) + prev.start;
-            if depart > busy_until[q] {
-                busy_until[q] = depart;
+        for &(_, q, _, departure) in &task.visits {
+            let depart = departure + prev.start;
+            if depart > busy_until[q.index()] {
+                busy_until[q.index()] = depart;
             }
         }
     }
     OccupancyCarry { busy_until }
 }
 
-/// The initial FSM state used for synthesized q0 events: the state of
-/// the first event of task 0, falling back to `StateId(0)` for an empty
-/// log (matching [`crate::record::from_records`]).
-fn initial_state_of(log: &EventLog) -> StateId {
-    if log.num_tasks() == 0 {
-        StateId(0)
-    } else {
-        log.state_of(log.task_events(TaskId::from_index(0))[0])
-    }
-}
-
-/// Builds one window from its member tasks. This is the single build
+/// Builds one window from its member tasks. This is the single slicing
 /// path shared by [`slice_windows`] (replay) and [`LiveSlicer`] (live
 /// tail): identical members in, bit-identical window out.
 fn build_window(
     index: usize,
-    start: f64,
-    end: f64,
+    (start, end): (f64, f64),
     members: &[&TaskSlice],
     num_queues: usize,
     initial_state: StateId,
 ) -> Result<WindowedLog, TraceError> {
-    let mut builder = EventLogBuilder::new(num_queues, initial_state);
-    let mut orig_events = Vec::new();
-    let mut orig_tasks = Vec::new();
-    let mut flags: Vec<(bool, bool)> = Vec::new();
+    let mut inputs = WindowInputs {
+        index,
+        start,
+        end,
+        log: LogInputs {
+            num_queues,
+            initial_state,
+            tasks: Vec::with_capacity(members.len()),
+        },
+        mask: ObservedMask::unobserved(0),
+        orig_events: Vec::new(),
+        orig_tasks: Vec::with_capacity(members.len()),
+        carry_tasks: 0,
+    };
     for t in members {
         // Rebase onto the window clock. Unobserved times of a task pulled
         // in by a later observed time may precede the window start; clamp
         // them to the origin (monotone, so within-task ordering and the
         // transition equalities survive — and only free times can be
         // clamped, since every observed time is >= the observed entry).
-        let visits: Vec<_> = t
-            .visits
-            .iter()
-            .map(|&(s, q, a, d)| (s, q, (a - start).max(0.0), (d - start).max(0.0)))
-            .collect();
-        builder.add_task((t.entry - start).max(0.0), &visits)?;
-        orig_tasks.push(t.orig_task);
-        orig_events.extend_from_slice(&t.orig_events);
-        flags.extend_from_slice(&t.flags);
-    }
-    Ok(WindowedLog {
-        index,
-        start,
-        end,
-        masked: mask_log(builder.build()?, &flags)?,
-        orig_events,
-        orig_tasks,
-        carry_tasks: 0,
-        carry_events: 0,
-    })
-}
-
-/// Pairs a built window log with its per-event observation flags, the
-/// last step of every window construction. A flag list whose length is
-/// not the log's event count is a shape error.
-fn mask_log(log: EventLog, flags: &[(bool, bool)]) -> Result<MaskedLog, TraceError> {
-    if flags.len() != log.num_events() {
-        return Err(TraceError::ShapeMismatch {
-            expected: log.num_events(),
-            actual: flags.len(),
+        inputs.log.tasks.push(TaskInputs {
+            entry: (t.entry - start).max(0.0),
+            visits: t
+                .visits
+                .iter()
+                .map(|&(s, q, a, d)| (s, q, (a - start).max(0.0), (d - start).max(0.0)))
+                .collect(),
         });
-    }
-    let mut mask = ObservedMask::unobserved(log.num_events());
-    for (i, &(a, d)) in flags.iter().enumerate() {
-        let e = EventId::from_index(i);
-        if a {
-            mask.observe_arrival(e);
-        }
-        if d {
-            mask.observe_departure(e);
+        inputs.orig_tasks.push(t.orig_task);
+        inputs.orig_events.extend_from_slice(&t.orig_events);
+        for &(a, d) in &t.flags {
+            inputs.mask.push(a, d);
         }
     }
-    MaskedLog::new(log, mask)
-}
-
-/// The error for resume state whose lengths disagree with the ones the
-/// slicer's constructors produce, i.e. state that was edited or corrupted
-/// after [`LiveSlicer::snapshot`] or [`WindowedLog::to_state`] wrote it.
-fn inconsistent_state(what: std::fmt::Arguments<'_>) -> TraceError {
-    TraceError::Serde(serde::de::Error::custom(what))
-}
-
-/// Extracts every task of a masked log into the slicer's intermediate
-/// form, in task-id order.
-fn task_slices(masked: &MaskedLog) -> Vec<TaskSlice> {
-    let truth = masked.ground_truth();
-    let mut out = Vec::with_capacity(truth.num_tasks());
-    for k in 0..truth.num_tasks() {
-        let k = TaskId::from_index(k);
-        let events = truth.task_events(k);
-        let visits: Vec<_> = events[1..]
-            .iter()
-            .map(|&e| {
-                (
-                    truth.state_of(e),
-                    truth.queue_of(e),
-                    truth.arrival(e),
-                    truth.departure(e),
-                )
-            })
-            .collect();
-        let flags: Vec<_> = events
-            .iter()
-            .map(|&e| {
-                (
-                    masked.mask().arrival_observed(e),
-                    masked.mask().departure_observed(e),
-                )
-            })
-            .collect();
-        let entry = truth.task_entry(k);
-        out.push(TaskSlice {
-            orig_task: k,
-            entry,
-            observed_entry: observed_entry(entry, &visits, &flags),
-            visits,
-            flags,
-            orig_events: events.to_vec(),
-        });
-    }
-    out
+    inputs.build()
 }
 
 /// Slices a masked log into the schedule's windows.
@@ -533,12 +510,26 @@ pub fn slice_windows(
             what: "cannot window a trace with no tasks",
         });
     }
-    let tasks = task_slices(masked);
-    let horizon = tasks
-        .iter()
-        .map(|t| t.observed_entry)
-        .fold(0.0f64, f64::max);
-    let initial_state = initial_state_of(truth);
+    let inputs = truth.inputs();
+    let mask = masked.mask();
+    let tasks: Vec<TaskSlice> = (inputs.tasks.into_iter().enumerate())
+        .map(|(k, t)| {
+            let orig_task = TaskId::from_index(k);
+            let events = truth.task_events(orig_task);
+            TaskSlice {
+                orig_task,
+                entry: t.entry,
+                visits: t.visits,
+                flags: events
+                    .iter()
+                    .map(|&e| (mask.arrival_observed(e), mask.departure_observed(e)))
+                    .collect(),
+                orig_events: events.to_vec(),
+            }
+        })
+        .collect();
+    let entries: Vec<f64> = tasks.iter().map(TaskSlice::observed_entry).collect();
+    let horizon = entries.iter().copied().fold(0.0f64, f64::max);
     let spans = schedule.spans(horizon);
     // Bin tasks into their owning windows in one pass: a task entering at
     // `t` can only belong to windows whose index lies in
@@ -548,8 +539,7 @@ pub fn slice_windows(
     // check decides membership. Task ids are visited in increasing
     // order, so each bin stays in task-id order.
     let mut members: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-    for (k, t) in tasks.iter().enumerate() {
-        let entry = t.observed_entry;
+    for (k, &entry) in entries.iter().enumerate() {
         let lo = ((entry - schedule.width()) / schedule.stride()).floor() as isize - 1;
         let hi = (entry / schedule.stride()).floor() as isize + 1;
         for i in lo.max(0)..=hi.min(spans.len() as isize - 1) {
@@ -560,15 +550,14 @@ pub fn slice_windows(
         }
     }
     let mut windows = Vec::new();
-    for (index, ((start, end), member_tasks)) in spans.into_iter().zip(members).enumerate() {
+    for (index, (span, member_tasks)) in spans.into_iter().zip(members).enumerate() {
         let refs: Vec<&TaskSlice> = member_tasks.iter().map(|&k| &tasks[k]).collect();
         windows.push(build_window(
             index,
-            start,
-            end,
+            span,
             &refs,
-            truth.num_queues(),
-            initial_state,
+            inputs.num_queues,
+            inputs.initial_state,
         )?);
     }
     Ok(windows)
@@ -598,7 +587,14 @@ pub fn slice_windows(
 ///
 /// For the same records, [`LiveSlicer`] and [`slice_windows`] emit
 /// bit-identical windows (shared build path; pinned by tests).
-#[derive(Debug)]
+///
+/// # Resume
+///
+/// A slicer's serde form is its own fields, times bit-exact, so a slicer
+/// written into a checkpoint and read back emits exactly the windows the
+/// original would have. Run [`LiveSlicer::check`] on one read from
+/// untrusted bytes before pushing to it.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LiveSlicer {
     schedule: WindowSchedule,
     num_queues: usize,
@@ -611,8 +607,10 @@ pub struct LiveSlicer {
     next_event_id: usize,
     next_task_id: usize,
     /// Recorded entry of the most recent task (the close watermark).
+    #[serde(with = "qni_model::bits")]
     last_entry: f64,
     /// Max observed entry over completed tasks (the finish horizon).
+    #[serde(with = "qni_model::bits")]
     max_observed_entry: f64,
     next_window: usize,
     started: bool,
@@ -802,19 +800,15 @@ impl LiveSlicer {
         let orig_events: Vec<_> = (0..self.pending.len())
             .map(|i| EventId::from_index(self.pending_first_event + i))
             .collect();
-        let entry = initial.event.departure;
-        let obs = observed_entry(entry, &visits, &flags);
-        if obs > self.max_observed_entry {
-            self.max_observed_entry = obs;
-        }
-        self.completed.push(TaskSlice {
+        let task = TaskSlice {
             orig_task: initial.event.task,
-            entry,
-            observed_entry: obs,
+            entry: initial.event.departure,
             visits,
             flags,
             orig_events,
-        });
+        };
+        self.max_observed_entry = self.max_observed_entry.max(task.observed_entry());
+        self.completed.push(task);
         self.pending.clear();
         Ok(())
     }
@@ -839,13 +833,12 @@ impl LiveSlicer {
         let members: Vec<&TaskSlice> = self
             .completed
             .iter()
-            .filter(|t| t.observed_entry >= start && t.observed_entry < end)
+            .filter(|t| (start..end).contains(&t.observed_entry()))
             .collect();
         let initial_state = self.initial_state.unwrap_or(StateId(0));
         out.push(build_window(
             self.next_window,
-            start,
-            end,
+            (start, end),
             &members,
             self.num_queues,
             initial_state,
@@ -854,361 +847,76 @@ impl LiveSlicer {
         // Retire: a task whose observed entry precedes every future
         // window's start can never be a member again.
         let (next_start, _) = self.schedule.span(self.next_window);
-        self.completed.retain(|t| t.observed_entry >= next_start);
+        self.completed.retain(|t| t.observed_entry() >= next_start);
         Ok(())
     }
 
-    /// Captures the slicer's full resume state as a serializable
-    /// [`SlicerState`]. Restoring it with [`LiveSlicer::restore`] under
-    /// the same schedule and queue count yields a slicer whose future
-    /// emissions are bit-identical to this one's.
-    pub fn snapshot(&self) -> SlicerState {
-        SlicerState {
-            initial_state: self.initial_state.map(|s| s.index() as u32),
-            completed: self
-                .completed
-                .iter()
-                .map(TaskSliceState::from_slice)
-                .collect(),
-            pending: self.pending.iter().map(RecordState::from_record).collect(),
-            pending_first_event: self.pending_first_event as u64,
-            next_event_id: self.next_event_id as u64,
-            next_task_id: self.next_task_id as u64,
-            last_entry_bits: self.last_entry.to_bits(),
-            max_observed_entry_bits: self.max_observed_entry.to_bits(),
-            next_window: self.next_window as u64,
-            started: self.started,
+    /// Checks a slicer read back from a checkpoint before a resume
+    /// continues it: the slicer must be for the session's `schedule` and
+    /// `num_queues`, and every buffered task must have the shape
+    /// [`LiveSlicer::push`] gives it — at least one visit, one flag and
+    /// one original event id per event (the visits plus the q0 entry),
+    /// and every visit at a service queue of the session.
+    pub fn check(&self, schedule: &WindowSchedule, num_queues: usize) -> Result<(), TraceError> {
+        let bad = |what: String| {
+            Err(TraceError::BadCheckpoint {
+                part: "slicer".to_owned(),
+                what,
+            })
+        };
+        let same_schedule = self.schedule.width.to_bits() == schedule.width.to_bits()
+            && self.schedule.stride.to_bits() == schedule.stride.to_bits();
+        if !same_schedule || self.num_queues != num_queues {
+            return bad(format!(
+                "written for {} queues and windows ({}, {}), resumed with {num_queues} and ({}, {})",
+                self.num_queues,
+                self.schedule.width,
+                self.schedule.stride,
+                schedule.width,
+                schedule.stride
+            ));
         }
-    }
-
-    /// Rebuilds the slicer a [`SlicerState`] snapshot was taken from.
-    /// `schedule` and `num_queues` must match the original (the
-    /// checkpoint layer's options fingerprint enforces this). Errors if
-    /// a buffered task's flags, event ids and visits disagree in length.
-    pub fn restore(
-        schedule: WindowSchedule,
-        num_queues: usize,
-        state: &SlicerState,
-    ) -> Result<Self, TraceError> {
-        for t in &state.completed {
+        for t in &self.completed {
             let events = t.visits.len() + 1;
-            if t.flags.len() != events || t.orig_events.len() != events {
-                return Err(inconsistent_state(format_args!(
+            if t.visits.is_empty() || t.flags.len() != events || t.orig_events.len() != events {
+                return bad(format!(
                     "buffered task {} has {} flags and {} event ids for {events} events",
                     t.orig_task,
                     t.flags.len(),
                     t.orig_events.len()
-                )));
+                ));
+            }
+            let service = |q: QueueId| !q.is_initial() && q.index() < num_queues;
+            let visits_ok =
+                (t.visits.iter()).all(|v| service(v.1) && v.2.is_finite() && v.3.is_finite());
+            if !(t.entry.is_finite() && visits_ok) {
+                return bad(format!(
+                    "buffered task {} has a non-finite time or a visit outside the service queues",
+                    t.orig_task
+                ));
             }
         }
-        let mut slicer = LiveSlicer::new(schedule, num_queues)?;
-        slicer.initial_state = state.initial_state.map(|s| StateId::from_index(s as usize));
-        slicer.completed = state
-            .completed
-            .iter()
-            .map(TaskSliceState::to_slice)
-            .collect();
-        slicer.pending = state.pending.iter().map(RecordState::to_record).collect();
-        slicer.pending_first_event = state.pending_first_event as usize;
-        slicer.next_event_id = state.next_event_id as usize;
-        slicer.next_task_id = state.next_task_id as usize;
-        slicer.last_entry = f64::from_bits(state.last_entry_bits);
-        slicer.max_observed_entry = f64::from_bits(state.max_observed_entry_bits);
-        slicer.next_window = state.next_window as usize;
-        slicer.started = state.started;
-        Ok(slicer)
-    }
-}
-
-/// Serializable form of one buffered task slice. Every time is
-/// bit-encoded as `u64` (`f64::to_bits`) so NaN and signed zero
-/// round-trip exactly through JSON — the checkpoint must not perturb a
-/// single bit of the resume state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TaskSliceState {
-    /// Original-trace task id.
-    pub orig_task: u32,
-    /// Recorded entry time, bit-encoded.
-    pub entry_bits: u64,
-    /// Membership (observed-entry) time, bit-encoded.
-    pub observed_entry_bits: u64,
-    /// `(state, queue, arrival_bits, departure_bits)` per visit.
-    pub visits: Vec<(u32, u32, u64, u64)>,
-    /// `(arrival_observed, departure_observed)` per event.
-    pub flags: Vec<(bool, bool)>,
-    /// Original-trace event ids.
-    pub orig_events: Vec<u32>,
-}
-
-impl TaskSliceState {
-    fn from_slice(t: &TaskSlice) -> Self {
-        TaskSliceState {
-            orig_task: t.orig_task.index() as u32,
-            entry_bits: t.entry.to_bits(),
-            observed_entry_bits: t.observed_entry.to_bits(),
-            visits: t
-                .visits
-                .iter()
-                .map(|&(s, q, a, d)| (s.index() as u32, q.index() as u32, a.to_bits(), d.to_bits()))
-                .collect(),
-            flags: t.flags.clone(),
-            orig_events: t.orig_events.iter().map(|e| e.index() as u32).collect(),
+        // Once a record has arrived, the in-progress task holds the
+        // latest entry: the watermark the slicer closes windows at.
+        let in_progress = match self.pending.first() {
+            None => !self.started,
+            Some(first) => {
+                self.started
+                    && first.event.departure.to_bits() == self.last_entry.to_bits()
+                    && self.pending_first_event.checked_add(self.pending.len())
+                        == Some(self.next_event_id)
+            }
+        };
+        let finite = |r: &TraceRecord| r.event.arrival.is_finite() && r.event.departure.is_finite();
+        if !(in_progress && self.pending.iter().all(finite) && self.max_observed_entry.is_finite())
+        {
+            return bad(
+                "in-progress task disagrees with the watermark or event ids, or a time \
+                 is not finite"
+                    .to_owned(),
+            );
         }
-    }
-
-    fn to_slice(&self) -> TaskSlice {
-        TaskSlice {
-            orig_task: TaskId::from_index(self.orig_task as usize),
-            entry: f64::from_bits(self.entry_bits),
-            observed_entry: f64::from_bits(self.observed_entry_bits),
-            visits: self
-                .visits
-                .iter()
-                .map(|&(s, q, a, d)| {
-                    (
-                        StateId::from_index(s as usize),
-                        QueueId::from_index(q as usize),
-                        f64::from_bits(a),
-                        f64::from_bits(d),
-                    )
-                })
-                .collect(),
-            flags: self.flags.clone(),
-            orig_events: self
-                .orig_events
-                .iter()
-                .map(|&e| EventId::from_index(e as usize))
-                .collect(),
-        }
-    }
-}
-
-/// Serializable form of one buffered [`TraceRecord`] (the in-progress
-/// task's records), times bit-encoded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecordState {
-    /// Task id.
-    pub task: u32,
-    /// FSM state.
-    pub state: u32,
-    /// Queue id.
-    pub queue: u32,
-    /// Arrival time, bit-encoded.
-    pub arrival_bits: u64,
-    /// Departure time, bit-encoded.
-    pub departure_bits: u64,
-    /// Whether the arrival was measured.
-    pub arrival_observed: bool,
-    /// Whether the departure was measured.
-    pub departure_observed: bool,
-}
-
-impl RecordState {
-    fn from_record(r: &TraceRecord) -> Self {
-        RecordState {
-            task: r.event.task.index() as u32,
-            state: r.event.state.index() as u32,
-            queue: r.event.queue.index() as u32,
-            arrival_bits: r.event.arrival.to_bits(),
-            departure_bits: r.event.departure.to_bits(),
-            arrival_observed: r.arrival_observed,
-            departure_observed: r.departure_observed,
-        }
-    }
-
-    fn to_record(&self) -> TraceRecord {
-        TraceRecord {
-            event: Event {
-                task: TaskId::from_index(self.task as usize),
-                state: StateId::from_index(self.state as usize),
-                queue: QueueId::from_index(self.queue as usize),
-                arrival: f64::from_bits(self.arrival_bits),
-                departure: f64::from_bits(self.departure_bits),
-            },
-            arrival_observed: self.arrival_observed,
-            departure_observed: self.departure_observed,
-        }
-    }
-}
-
-/// The full serializable resume state of a [`LiveSlicer`] (see
-/// [`LiveSlicer::snapshot`]). Schedule and queue count are *not*
-/// embedded — the checkpoint layer fingerprints them together with the
-/// engine options and rejects mismatched resumes wholesale.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SlicerState {
-    /// FSM state of the first record seen, if any.
-    pub initial_state: Option<u32>,
-    /// Completed-but-unretired task slices, in task-id order.
-    pub completed: Vec<TaskSliceState>,
-    /// Records of the in-progress task.
-    pub pending: Vec<RecordState>,
-    /// Original-trace event id of the pending task's first record.
-    pub pending_first_event: u64,
-    /// Next original-trace event id to assign.
-    pub next_event_id: u64,
-    /// Next original-trace task id to expect.
-    pub next_task_id: u64,
-    /// Recorded entry of the most recent task, bit-encoded.
-    pub last_entry_bits: u64,
-    /// Max observed entry over completed tasks, bit-encoded.
-    pub max_observed_entry_bits: u64,
-    /// Index of the next window to emit.
-    pub next_window: u64,
-    /// Whether any record has been seen.
-    pub started: bool,
-}
-
-/// One task of a [`WindowState`]: the exact `EventLogBuilder` inputs
-/// that reproduce the window's log, times bit-encoded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowTaskState {
-    /// Window-clock entry time, bit-encoded.
-    pub entry_bits: u64,
-    /// `(state, queue, arrival_bits, departure_bits)` per visit.
-    pub visits: Vec<(u32, u32, u64, u64)>,
-}
-
-/// The full serializable form of a [`WindowedLog`] (see
-/// [`WindowedLog::to_state`]) — used by the streaming engine's
-/// checkpoint to persist its carried previous window.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WindowState {
-    /// Window index in the schedule.
-    pub index: u64,
-    /// Window start (absolute clock), bit-encoded.
-    pub start_bits: u64,
-    /// Window end (absolute clock), bit-encoded.
-    pub end_bits: u64,
-    /// Queue count of the window's log.
-    pub num_queues: u64,
-    /// FSM state for synthesized q0 events.
-    pub initial_state: u32,
-    /// Every task in the window's log, carry tasks included, in log
-    /// task order.
-    pub tasks: Vec<WindowTaskState>,
-    /// `(arrival_observed, departure_observed)` per event in log order.
-    pub flags: Vec<(bool, bool)>,
-    /// Original-trace event ids of the real events.
-    pub orig_events: Vec<u32>,
-    /// Original-trace task ids of the real tasks.
-    pub orig_tasks: Vec<u32>,
-    /// Occupancy carry tasks appended after the real tasks.
-    pub carry_tasks: u64,
-    /// Events belonging to carry tasks.
-    pub carry_events: u64,
-}
-
-impl WindowedLog {
-    /// Captures the window as a serializable [`WindowState`].
-    /// [`WindowedLog::from_state`] rebuilds a bit-identical window: the
-    /// state records exactly the builder inputs the window was
-    /// originally constructed from.
-    pub fn to_state(&self) -> WindowState {
-        let log = self.masked.ground_truth();
-        let mut tasks = Vec::with_capacity(log.num_tasks());
-        for k in 0..log.num_tasks() {
-            let k = TaskId::from_index(k);
-            let events = log.task_events(k);
-            let visits: Vec<_> = events[1..]
-                .iter()
-                .map(|&e| {
-                    (
-                        log.state_of(e).index() as u32,
-                        log.queue_of(e).index() as u32,
-                        log.arrival(e).to_bits(),
-                        log.departure(e).to_bits(),
-                    )
-                })
-                .collect();
-            tasks.push(WindowTaskState {
-                entry_bits: log.task_entry(k).to_bits(),
-                visits,
-            });
-        }
-        let flags: Vec<_> = log
-            .event_ids()
-            .map(|e| {
-                (
-                    self.masked.mask().arrival_observed(e),
-                    self.masked.mask().departure_observed(e),
-                )
-            })
-            .collect();
-        WindowState {
-            index: self.index as u64,
-            start_bits: self.start.to_bits(),
-            end_bits: self.end.to_bits(),
-            num_queues: log.num_queues() as u64,
-            initial_state: initial_state_of(log).index() as u32,
-            tasks,
-            flags,
-            orig_events: self.orig_events.iter().map(|e| e.index() as u32).collect(),
-            orig_tasks: self.orig_tasks.iter().map(|t| t.index() as u32).collect(),
-            carry_tasks: self.carry_tasks as u64,
-            carry_events: self.carry_events as u64,
-        }
-    }
-
-    /// Rebuilds the window a [`WindowState`] was captured from, through
-    /// the same `EventLogBuilder` path as the original construction.
-    /// Errors if the builder rejects the tasks, or if the flags, the
-    /// original event and task ids and the carry counts disagree with
-    /// the rebuilt log's event and task counts.
-    pub fn from_state(state: &WindowState) -> Result<WindowedLog, TraceError> {
-        let mut builder = EventLogBuilder::new(
-            state.num_queues as usize,
-            StateId::from_index(state.initial_state as usize),
-        );
-        for t in &state.tasks {
-            let visits: Vec<_> = t
-                .visits
-                .iter()
-                .map(|&(s, q, a, d)| {
-                    (
-                        StateId::from_index(s as usize),
-                        QueueId::from_index(q as usize),
-                        f64::from_bits(a),
-                        f64::from_bits(d),
-                    )
-                })
-                .collect();
-            builder.add_task(f64::from_bits(t.entry_bits), &visits)?;
-        }
-        let log = builder.build()?;
-        let (events, tasks) = (log.num_events() as u64, log.num_tasks() as u64);
-        let real_events = state.orig_events.len() as u64;
-        if real_events.checked_add(state.carry_events) != Some(events) {
-            return Err(inconsistent_state(format_args!(
-                "window has {real_events} original and {} carry events for {events} events",
-                state.carry_events
-            )));
-        }
-        let real_tasks = state.orig_tasks.len() as u64;
-        if real_tasks.checked_add(state.carry_tasks) != Some(tasks) {
-            return Err(inconsistent_state(format_args!(
-                "window has {real_tasks} original and {} carry tasks for {tasks} tasks",
-                state.carry_tasks
-            )));
-        }
-        Ok(WindowedLog {
-            index: state.index as usize,
-            start: f64::from_bits(state.start_bits),
-            end: f64::from_bits(state.end_bits),
-            masked: mask_log(log, &state.flags)?,
-            orig_events: state
-                .orig_events
-                .iter()
-                .map(|&e| EventId::from_index(e as usize))
-                .collect(),
-            orig_tasks: state
-                .orig_tasks
-                .iter()
-                .map(|&t| TaskId::from_index(t as usize))
-                .collect(),
-            carry_tasks: state.carry_tasks as usize,
-            carry_events: state.carry_events as usize,
-        })
+        Ok(())
     }
 }
 
@@ -1217,6 +925,7 @@ mod tests {
     use super::*;
     use crate::observe::ObservationScheme;
     use crate::record::to_records;
+    use qni_model::log::EventLogBuilder;
     use qni_model::topology::tandem;
     use qni_sim::{Simulator, Workload};
     use qni_stats::rng::rng_from_seed;
@@ -1243,6 +952,11 @@ mod tests {
         let s = WindowSchedule::new(4.0, 2.0).unwrap();
         assert_eq!(s.width(), 4.0);
         assert_eq!(s.stride(), 2.0);
+        // A schedule read back is validated like a constructed one.
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<WindowSchedule>(&json).unwrap(), s);
+        let zero_stride = format!("{{\"width\":{},\"stride\":0}}", 4f64.to_bits());
+        assert!(serde_json::from_str::<WindowSchedule>(&zero_stride).is_err());
     }
 
     #[test]
@@ -1591,8 +1305,8 @@ mod tests {
         let ml = MaskedLog::new(log, ObservedMask::fully_observed(n)).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
         assert_eq!(windows.len(), 2);
-        let prev_final = windows[0].masked().ground_truth().clone();
-        let carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
+        let prev_final = windows[0].masked().ground_truth().inputs();
+        let carry = occupancy_carry(&windows[0].inputs(), &prev_final, &windows[1]);
         // q1 busy until 7.5 absolute.
         assert!((carry.busy_until(QueueId(1)) - 7.5).abs() < 1e-12);
         assert_eq!(carry.busy_until(QueueId(2)), f64::NEG_INFINITY);
@@ -1632,8 +1346,8 @@ mod tests {
         let n = log.num_events();
         let ml = MaskedLog::new(log, ObservedMask::fully_observed(n)).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
-        let prev_final = windows[0].masked().ground_truth().clone();
-        let carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
+        let prev_final = windows[0].masked().ground_truth().inputs();
+        let carry = occupancy_carry(&windows[0].inputs(), &prev_final, &windows[1]);
         let with = windows[1].with_occupancy(&carry).unwrap();
         let wlog = with.masked().ground_truth();
         qni_model::constraints::validate(wlog).unwrap();
@@ -1650,8 +1364,8 @@ mod tests {
         let n = log.num_events();
         let ml = MaskedLog::new(log, ObservedMask::fully_observed(n)).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
-        let prev_final = windows[0].masked().ground_truth().clone();
-        let carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
+        let prev_final = windows[0].masked().ground_truth().inputs();
+        let carry = occupancy_carry(&windows[0].inputs(), &prev_final, &windows[1]);
         let with = windows[1].with_occupancy(&carry).unwrap();
         assert_eq!(with.carry_tasks(), 0);
     }
@@ -1671,8 +1385,8 @@ mod tests {
         let n = log.num_events();
         let ml = MaskedLog::new(log, ObservedMask::fully_observed(n)).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
-        let prev_final = windows[0].masked().ground_truth().clone();
-        let carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
+        let prev_final = windows[0].masked().ground_truth().inputs();
+        let carry = occupancy_carry(&windows[0].inputs(), &prev_final, &windows[1]);
         // The only task is shared -> nothing carried.
         assert_eq!(carry.busy_until(QueueId(1)), f64::NEG_INFINITY);
 
@@ -1682,103 +1396,100 @@ mod tests {
         });
         let ghosted = ghosted.unwrap();
         assert_eq!(ghosted.carry_tasks(), 1);
-        let final_log = ghosted.masked().ground_truth().clone();
-        let carry2 = occupancy_carry(&ghosted, &final_log, &windows[2]);
+        let final_log = ghosted.masked().ground_truth().inputs();
+        let carry2 = occupancy_carry(&ghosted.inputs(), &final_log, &windows[2]);
         // Ghost departs at local 2.0 => absolute 7.0; the shared task 0
         // is not in window 2 (entry 6.0 < 10.0): its departure 12.0
         // dominates.
         assert!((carry2.busy_until(QueueId(1)) - 12.0).abs() < 1e-12);
     }
 
-    /// `WindowState` round-trips a window — including one with injected
-    /// occupancy-carry ghosts — through JSON without perturbing a bit:
-    /// the rebuilt window's state equals the original's, and the
-    /// rebuilt log matches event by event.
+    /// A window's serde form, [`WindowInputs`], round-trips a window —
+    /// including one with injected occupancy-carry ghosts — through JSON
+    /// without perturbing a bit: re-serializing the read inputs gives the
+    /// same bytes, and the rebuilt window matches event by event.
     #[test]
     fn window_state_round_trips_bit_for_bit() {
         let ml = masked(80, 5);
         let s = WindowSchedule::new(10.0, 5.0).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
         assert!(windows.len() >= 3);
-        let prev_final = windows[0].masked().ground_truth().clone();
-        let carry = occupancy_carry(&windows[0], &prev_final, &windows[1]);
-        let ghosted = windows[1].with_occupancy(&carry).unwrap();
+        let ghosted = windows
+            .windows(2)
+            .map(|pair| {
+                let prev_final = pair[0].masked().ground_truth().inputs();
+                let carry = occupancy_carry(&pair[0].inputs(), &prev_final, &pair[1]);
+                pair[1].with_occupancy(&carry).unwrap()
+            })
+            .find(|w| w.carry_tasks() > 0)
+            .expect("fixture must carry occupancy into some window");
         for w in windows.iter().chain(std::iter::once(&ghosted)) {
-            let state = w.to_state();
-            let json = serde_json::to_string(&state).unwrap();
-            let back: WindowState = serde_json::from_str(&json).unwrap();
-            assert_eq!(state, back, "JSON round-trip window {}", w.index);
-            let rebuilt = WindowedLog::from_state(&back).unwrap();
-            assert_eq!(rebuilt.to_state(), state, "rebuild window {}", w.index);
-            let (la, lb) = (w.masked().ground_truth(), rebuilt.masked().ground_truth());
-            assert_eq!(la.num_events(), lb.num_events());
-            for e in la.event_ids() {
-                assert_eq!(la.event(e), lb.event(e), "window {} event {e}", w.index);
-                assert_eq!(
-                    w.masked().mask().arrival_observed(e),
-                    rebuilt.masked().mask().arrival_observed(e)
-                );
-                assert_eq!(
-                    w.masked().mask().departure_observed(e),
-                    rebuilt.masked().mask().departure_observed(e)
-                );
-            }
-            assert_eq!(rebuilt.carry_tasks(), w.carry_tasks());
-            assert_eq!(rebuilt.carry_events(), w.carry_events());
-            for (ea, eb) in w.event_mapping().zip(rebuilt.event_mapping()) {
-                assert_eq!(ea, eb);
-            }
+            let json = serde_json::to_string(&w.inputs()).unwrap();
+            let back: WindowInputs = serde_json::from_str(&json).unwrap();
+            assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                json,
+                "JSON round-trip window {}",
+                w.index
+            );
+            let rebuilt = back.build().unwrap();
+            assert_eq!(serde_json::to_string(&rebuilt.inputs()).unwrap(), json);
+            assert!(w.event_mapping().eq(rebuilt.event_mapping()));
         }
     }
 
-    /// Edited window state is rejected with a typed error instead of a
-    /// panic or a silently different window: one flag too many, a task
-    /// with no visits, and original event or task ids that no longer
-    /// cover the rebuilt log next to its carry tasks.
+    /// Inputs whose mask does not cover the log, or with a task that has
+    /// no visit, are rejected with a typed error instead of a panic. (The
+    /// resume path checks the original-id and carry counts of a carried
+    /// window; see the checkpoint tests of `qni-core`'s watch module.)
     #[test]
     fn window_state_rejects_inconsistent_lengths() {
         let ml = masked(80, 5);
         let s = WindowSchedule::new(10.0, 5.0).unwrap();
         let windows = slice_windows(&ml, &s).unwrap();
-        let state = windows
+        let inputs = windows
             .windows(2)
             .map(|pair| {
-                let prev_final = pair[0].masked().ground_truth().clone();
-                let carry = occupancy_carry(&pair[0], &prev_final, &pair[1]);
-                pair[1].with_occupancy(&carry).unwrap().to_state()
+                let prev_final = pair[0].masked().ground_truth().inputs();
+                let carry = occupancy_carry(&pair[0].inputs(), &prev_final, &pair[1]);
+                pair[1].with_occupancy(&carry).unwrap().inputs()
             })
-            .find(|st| st.carry_tasks > 0)
+            .find(|w| w.carry_tasks > 0)
             .expect("fixture must carry occupancy into some window");
-        let edited = |edit: fn(&mut WindowState)| {
-            let mut st = state.clone();
-            edit(&mut st);
-            WindowedLog::from_state(&st).unwrap_err()
+        let edited = |edit: fn(&mut WindowInputs)| {
+            let mut w = inputs.clone();
+            edit(&mut w);
+            w.build().unwrap_err()
         };
-        let err = edited(|st| st.flags.push((true, true)));
+        let err = edited(|w| w.mask.push(true, true));
         assert!(
             matches!(err, TraceError::ShapeMismatch { expected, actual } if actual == expected + 1),
             "{err}"
         );
-        let err = edited(|st| st.tasks[0].visits.clear());
+        let err = edited(|w| w.log.tasks[0].visits.clear());
         assert!(
             matches!(err, TraceError::Model(qni_model::ModelError::EmptyTask(_))),
             "{err}"
         );
-        let err = edited(|st| st.orig_events.truncate(3));
-        assert!(
-            matches!(err, TraceError::Serde(_)) && err.to_string().contains("has 3 original"),
-            "{err}"
+    }
+
+    /// Writes a slicer as JSON and reads it back; the read slicer writes
+    /// the same bytes.
+    fn round_trip(slicer: &LiveSlicer) -> LiveSlicer {
+        let json = serde_json::to_string(slicer).unwrap();
+        let back: LiveSlicer = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            json,
+            "JSON round-trip"
         );
-        let err = edited(|st| st.orig_tasks.push(0));
-        assert!(
-            matches!(err, TraceError::Serde(_)) && err.to_string().contains("carry tasks"),
-            "{err}"
-        );
+        back
     }
 
     /// A buffered task whose flags or event ids disagree in length with
-    /// its visits is rejected on restore instead of resuming on a
-    /// different trace.
+    /// its visits, or that visits a queue the session does not have, is
+    /// rejected by the resume check instead of resuming on a different
+    /// trace; so is a slicer written for another schedule or queue count.
     #[test]
     fn slicer_restore_rejects_inconsistent_task_lengths() {
         let ml = masked(60, 6);
@@ -1789,25 +1500,47 @@ mod tests {
         for rec in &records[..records.len() / 2] {
             slicer.push(*rec).unwrap();
         }
-        let state = slicer.snapshot();
-        assert!(!state.completed.is_empty(), "fixture must buffer tasks");
-        let mut extra_flag = state.clone();
+        let slicer = round_trip(&slicer);
+        assert!(!slicer.completed.is_empty(), "fixture must buffer tasks");
+        slicer.check(&schedule, nq).unwrap();
+        let mut extra_flag = slicer.clone();
         extra_flag.completed[0].flags.push((true, true));
-        let mut short_ids = state.clone();
+        let mut short_ids = slicer.clone();
         short_ids.completed[0].orig_events.pop();
-        for bad in [extra_flag, short_ids] {
-            let err = LiveSlicer::restore(schedule, nq, &bad).unwrap_err();
+        let mut far_queue = slicer.clone();
+        far_queue.completed[0].visits[0].1 = QueueId::from_index(1 << 30);
+        let mut nan_time = slicer.clone();
+        nan_time.completed[0].visits[0].3 = f64::NAN;
+        for bad in [extra_flag, short_ids, far_queue, nan_time] {
+            let err = bad.check(&schedule, nq).unwrap_err();
             assert!(
-                matches!(err, TraceError::Serde(_)) && err.to_string().contains("buffered task"),
+                matches!(&err, TraceError::BadCheckpoint { part, .. } if part == "slicer")
+                    && err.to_string().contains("buffered task"),
                 "{err}"
+            );
+        }
+        // A watermark past the in-progress task would close windows
+        // without end.
+        let mut ahead = slicer.clone();
+        ahead.last_entry = f64::INFINITY;
+        let other = WindowSchedule::new(8.0, 2.0).unwrap();
+        let errs = [
+            ahead.check(&schedule, nq),
+            slicer.check(&other, nq),
+            slicer.check(&schedule, nq + 1),
+        ];
+        for err in errs {
+            assert!(
+                matches!(err, Err(TraceError::BadCheckpoint { .. })),
+                "{err:?}"
             );
         }
     }
 
-    /// Snapshotting a `LiveSlicer` mid-stream, JSON round-tripping the
-    /// state, and restoring yields a slicer whose remaining emissions
-    /// are bit-identical to the uninterrupted one's — at every possible
-    /// cut point of the record stream.
+    /// Writing a `LiveSlicer` mid-stream, reading the JSON back, and
+    /// continuing yields a slicer whose remaining emissions are
+    /// bit-identical to the uninterrupted one's — at every possible cut
+    /// point of the record stream.
     #[test]
     fn slicer_snapshot_restore_resumes_bit_identically() {
         let ml = masked(60, 6);
@@ -1822,7 +1555,6 @@ mod tests {
             ref_windows.extend(reference.push(*rec).unwrap());
         }
         ref_windows.extend(reference.finish().unwrap());
-        let ref_states: Vec<WindowState> = ref_windows.iter().map(WindowedLog::to_state).collect();
 
         for cut in 0..=records.len() {
             let mut first = LiveSlicer::new(schedule, nq).unwrap();
@@ -1830,17 +1562,16 @@ mod tests {
             for rec in &records[..cut] {
                 out.extend(first.push(*rec).unwrap());
             }
-            let json = serde_json::to_string(&first.snapshot()).unwrap();
-            let state: SlicerState = serde_json::from_str(&json).unwrap();
-            assert_eq!(state, first.snapshot(), "cut {cut}: JSON round-trip");
-            let mut resumed = LiveSlicer::restore(schedule, nq, &state).unwrap();
+            let mut resumed = round_trip(&first);
+            resumed.check(&schedule, nq).unwrap();
             for rec in &records[cut..] {
                 out.extend(resumed.push(*rec).unwrap());
             }
             out.extend(resumed.finish().unwrap());
-            assert_eq!(out.len(), ref_states.len(), "cut {cut}: window count");
-            for (w, want) in out.iter().zip(&ref_states) {
-                assert_eq!(&w.to_state(), want, "cut {cut}: window {}", w.index);
+            assert_eq!(out.len(), ref_windows.len(), "cut {cut}: window count");
+            for (w, want) in out.iter().zip(&ref_windows) {
+                let bytes = |w: &WindowedLog| serde_json::to_string(&w.inputs()).unwrap();
+                assert_eq!(bytes(w), bytes(want), "cut {cut}: window {}", w.index);
             }
         }
     }

@@ -330,38 +330,30 @@ fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Resu
     Ok(())
 }
 
-/// Shared `--warm-burn-in B` parsing for `stream` and `watch`.
-fn parse_warm_burn_in(flags: &mut HashMap<String, String>) -> Result<Option<usize>, String> {
-    match flags.remove("warm-burn-in") {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| "--warm-burn-in: bad number".to_owned()),
-    }
+/// The flags `stream` and `watch` share: the window schedule, the
+/// stream engine's options, and the `--out` CSV and `--json` paths.
+struct StreamFlags {
+    schedule: WindowSchedule,
+    opts: StreamOptions,
+    out: Option<String>,
+    json: Option<String>,
 }
 
-/// Shared `--occupancy-carry on|off` parsing for `stream` and `watch`.
-fn parse_occupancy_carry(flags: &mut HashMap<String, String>) -> Result<bool, String> {
-    match flags.remove("occupancy-carry").as_deref() {
-        None | Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(v) => Err(format!(
-            "--occupancy-carry: expected `on` or `off`, got `{v}`"
-        )),
-    }
-}
-
-fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
-    let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
+/// Parses and validates the flags `stream` and `watch` share:
+/// `--window`, `--stride`, `--warm-start`, the engine flags,
+/// `--warm-burn-in`, `--occupancy-carry`, `--out` and `--json`.
+fn parse_stream_flags(
+    flags: &mut HashMap<String, String>,
+    cmd: &str,
+) -> Result<StreamFlags, String> {
     let width: f64 = flags
         .remove("window")
-        .ok_or("stream requires --window W")?
+        .ok_or_else(|| format!("{cmd} requires --window W"))?
         .parse()
         .map_err(|_| "--window: bad number".to_owned())?;
     let stride: f64 = flags
         .remove("stride")
-        .ok_or("stream requires --stride S")?
+        .ok_or_else(|| format!("{cmd} requires --stride S"))?
         .parse()
         .map_err(|_| "--stride: bad number".to_owned())?;
     if !(width.is_finite() && width > 0.0) {
@@ -385,52 +377,115 @@ fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
         shards: _,
         threads,
     } = parse_engine_flags(flags, 1)?;
-    let warm_burn_in = parse_warm_burn_in(flags)?;
-    let occupancy_carry = parse_occupancy_carry(flags)?;
-    let out_path = flags.remove("out");
-    let json_path = flags.remove("json");
-    reject_unknown(flags)?;
-    let masked = load_masked(&trace)?;
-    let schedule = WindowSchedule::new(width, stride).map_err(|e| e.to_string())?;
-    let sopts = StreamOptions {
-        stem: opts,
-        chains,
-        master_seed: seed,
-        thread_budget: Some(threads),
-        warm_start,
-        warm_burn_in,
-        occupancy_carry,
-        clock: Some(monotonic_secs),
+    let warm_burn_in = match flags.remove("warm-burn-in") {
+        None => None,
+        Some(v) => Some(
+            v.parse()
+                .map_err(|_| "--warm-burn-in: bad number".to_owned())?,
+        ),
     };
-    let traj = run_stream(&masked, &schedule, &sopts).map_err(|e| e.to_string())?;
-    println!(
-        "streaming over {} window(s) (width {width}, stride {stride}, warm-start {}, \
-         {chains} chain(s), master seed {seed}; window w seeds via split_seed(seed, w))",
-        traj.windows.len(),
-        if warm_start { "on" } else { "off" },
-    );
-    println!(
+    let occupancy_carry = match flags.remove("occupancy-carry").as_deref() {
+        None | Some("on") => true,
+        Some("off") => false,
+        Some(v) => {
+            return Err(format!(
+                "--occupancy-carry: expected `on` or `off`, got `{v}`"
+            ))
+        }
+    };
+    Ok(StreamFlags {
+        schedule: WindowSchedule::new(width, stride).map_err(|e| e.to_string())?,
+        opts: StreamOptions {
+            stem: opts,
+            chains,
+            master_seed: seed,
+            thread_budget: Some(threads),
+            warm_start,
+            warm_burn_in,
+            occupancy_carry,
+            clock: Some(monotonic_secs),
+        },
+        out: flags.remove("out"),
+        json: flags.remove("json"),
+    })
+}
+
+/// Prints the column header of the per-window table, with `watch`'s
+/// `lag` column when `lag` is set.
+fn print_window_header(lag: bool) {
+    print!(
         "{:<7} {:>16} {:>7} {:>10} {:>12} {:>10}",
         "window", "span", "tasks", "λ̂", "max split-R̂", "min ESS"
     );
+    println!(
+        "{}",
+        if lag {
+            format!(" {:>8}", "lag")
+        } else {
+            String::new()
+        }
+    );
+}
+
+/// Prints one window's row of the per-window table, with `watch`'s lag
+/// column when given.
+fn print_window_row(w: &WindowEstimate, lag: Option<f64>) {
+    let max_rhat = w.split_rhat.iter().copied().fold(f64::NAN, f64::max);
+    let min_ess = w.ess.iter().copied().fold(f64::INFINITY, f64::min);
+    println!(
+        "w{:<6} [{:>6.1},{:>6.1}) {:>7} {:>10.4} {:>12.4} {:>10.1}{}{}",
+        w.index,
+        w.start,
+        w.end,
+        w.tasks,
+        w.rates[0],
+        max_rhat,
+        min_ess,
+        lag.map_or(String::new(), |l| format!(" {l:>8.2}")),
+        if w.carried {
+            "  (carried: empty window)"
+        } else {
+            ""
+        }
+    );
+}
+
+/// Writes the trajectory to the `--out` CSV and the `--json` file, for
+/// whichever was given.
+fn write_trajectory(traj: &RateTrajectory, flags: &StreamFlags) -> Result<(), String> {
+    if let Some(path) = &flags.out {
+        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+        traj.to_csv(std::io::BufWriter::new(file))
+            .map_err(|e| e.to_string())?;
+        eprintln!("wrote trajectory CSV to {path}");
+    }
+    if let Some(path) = &flags.json {
+        let json = serde_json::to_string(traj).map_err(|e| e.to_string())?;
+        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        eprintln!("wrote trajectory JSON to {path}");
+    }
+    Ok(())
+}
+
+fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
+    let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
+    let sf = parse_stream_flags(flags, "stream")?;
+    reject_unknown(flags)?;
+    let masked = load_masked(&trace)?;
+    let traj = run_stream(&masked, &sf.schedule, &sf.opts).map_err(|e| e.to_string())?;
+    println!(
+        "streaming over {} window(s) (width {}, stride {}, warm-start {}, \
+         {} chain(s), master seed {}; window w seeds via split_seed(seed, w))",
+        traj.windows.len(),
+        sf.schedule.width(),
+        sf.schedule.stride(),
+        if sf.opts.warm_start { "on" } else { "off" },
+        sf.opts.chains,
+        sf.opts.master_seed,
+    );
+    print_window_header(false);
     for w in &traj.windows {
-        let max_rhat = w.split_rhat.iter().copied().fold(f64::NAN, f64::max);
-        let min_ess = w.ess.iter().copied().fold(f64::INFINITY, f64::min);
-        println!(
-            "w{:<6} [{:>6.1},{:>6.1}) {:>7} {:>10.4} {:>12.4} {:>10.1}{}",
-            w.index,
-            w.start,
-            w.end,
-            w.tasks,
-            w.rates[0],
-            max_rhat,
-            min_ess,
-            if w.carried {
-                "  (carried: empty window)"
-            } else {
-                ""
-            }
-        );
+        print_window_row(w, None);
     }
     // Per-queue service-rate trajectories, one line per queue.
     for q in 1..traj.num_queues {
@@ -441,17 +496,7 @@ fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
             .collect();
         println!("µ̂ q{q}: [{}]", series.join(", "));
     }
-    if let Some(path) = out_path {
-        let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
-        traj.to_csv(std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
-        eprintln!("wrote trajectory CSV to {path}");
-    }
-    if let Some(path) = json_path {
-        let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(&path, json).map_err(|e| e.to_string())?;
-        eprintln!("wrote trajectory JSON to {path}");
-    }
+    write_trajectory(&traj, &sf)?;
     println!("fingerprint={}", traj.fingerprint_digest());
     Ok(())
 }
@@ -472,22 +517,8 @@ fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
 /// quarantines up to N malformed lines before hard-failing.
 fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
     let path = flags.remove("trace").ok_or("watch requires --trace FILE")?;
-    let width: f64 = flags
-        .remove("window")
-        .ok_or("watch requires --window W")?
-        .parse()
-        .map_err(|_| "--window: bad number".to_owned())?;
-    let stride: f64 = flags
-        .remove("stride")
-        .ok_or("watch requires --stride S")?
-        .parse()
-        .map_err(|_| "--stride: bad number".to_owned())?;
-    if !(width.is_finite() && width > 0.0) {
-        return Err("--window must be > 0".into());
-    }
-    if !(stride.is_finite() && stride > 0.0) {
-        return Err("--stride must be > 0".into());
-    }
+    let sf = parse_stream_flags(flags, "watch")?;
+    let (schedule, stride) = (sf.schedule, sf.schedule.stride());
     // A live tail cannot infer the queue count from a prefix of the
     // stream the way `stream` infers it from the complete file.
     let num_queues = get_usize(flags, "queues", 0)?;
@@ -513,11 +544,6 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
                 .map_err(|_| "--max-resident: bad integer".to_owned())?,
         ),
     };
-    let warm_start = match flags.remove("warm-start").as_deref() {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(v) => return Err(format!("--warm-start: expected `on` or `off`, got `{v}`")),
-    };
     let follow_rotations = match flags.remove("follow-rotations").as_deref() {
         None | Some("off") => false,
         Some("on") => true,
@@ -533,29 +559,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
     if checkpoint_every == 0 {
         return Err("--checkpoint-every must be >= 1".into());
     }
-    let EngineFlags {
-        opts,
-        chains,
-        seed,
-        shards: _,
-        threads,
-    } = parse_engine_flags(flags, 1)?;
-    let warm_burn_in = parse_warm_burn_in(flags)?;
-    let occupancy_carry = parse_occupancy_carry(flags)?;
-    let out_path = flags.remove("out");
-    let json_path = flags.remove("json");
     reject_unknown(flags)?;
-    let schedule = WindowSchedule::new(width, stride).map_err(|e| e.to_string())?;
-    let sopts = StreamOptions {
-        stem: opts,
-        chains,
-        master_seed: seed,
-        thread_budget: Some(threads),
-        warm_start,
-        warm_burn_in,
-        occupancy_carry,
-        clock: Some(monotonic_secs),
-    };
     let tail_opts = TailOptions {
         rotation: if follow_rotations {
             RotationPolicy::Follow
@@ -579,14 +583,19 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let resumed_from = existing.as_ref().map(|cp| cp.tail.offset);
     let mut session = match &existing {
-        Some(cp) => WatchSession::resume(&path, schedule, num_queues, sopts, tail_opts, cp)
-            .map_err(|e| e.to_string())?,
-        None => WatchSession::with_tail_options(&path, schedule, num_queues, sopts, tail_opts)
-            .map_err(|e| e.to_string())?,
-    };
+        Some(cp) => {
+            WatchSession::resume(&path, schedule, num_queues, sf.opts.clone(), tail_opts, cp)
+        }
+        None => {
+            WatchSession::with_tail_options(&path, schedule, num_queues, sf.opts.clone(), tail_opts)
+        }
+    }
+    .map_err(|e| e.to_string())?;
     println!(
-        "watching {path} (width {width}, stride {stride}, {num_queues} queues, \
-         poll {poll_ms} ms, stop after {idle_polls} idle polls, master seed {seed})"
+        "watching {path} (width {}, stride {stride}, {num_queues} queues, \
+         poll {poll_ms} ms, stop after {idle_polls} idle polls, master seed {})",
+        schedule.width(),
+        sf.opts.master_seed
     );
     if let Some(offset) = resumed_from {
         println!(
@@ -595,10 +604,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
             session.estimates().len()
         );
     }
-    println!(
-        "{:<7} {:>16} {:>7} {:>10} {:>12} {:>10} {:>8}",
-        "window", "span", "tasks", "λ̂", "max split-R̂", "min ESS", "lag"
-    );
+    print_window_header(true);
     // No external signal-handling dependency: the stop flag stays the
     // library-level shutdown hook for embedders; the CLI terminates via
     // the idle-poll budget (or a gate violation raising the flag below).
@@ -613,30 +619,13 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         || std::thread::sleep(std::time::Duration::from_millis(poll_ms)),
         |s, r| {
             for w in &s.estimates()[r.total_windows - r.windows_closed..] {
-                let max_rhat = w.split_rhat.iter().copied().fold(f64::NAN, f64::max);
-                let min_ess = w.ess.iter().copied().fold(f64::INFINITY, f64::min);
-                println!(
-                    "w{:<6} [{:>6.1},{:>6.1}) {:>7} {:>10.4} {:>12.4} {:>10.1} {:>8.2}{}",
-                    w.index,
-                    w.start,
-                    w.end,
-                    w.tasks,
-                    w.rates[0],
-                    max_rhat,
-                    min_ess,
-                    r.lag.unwrap_or(f64::NAN),
-                    if w.carried {
-                        "  (carried: empty window)"
-                    } else {
-                        ""
-                    }
-                );
+                print_window_row(w, Some(r.lag.unwrap_or(f64::NAN)));
             }
             // Periodic emission: rewrite the trajectory artifact every
             // time new windows close, so a crash mid-run still leaves
             // the latest complete snapshot on disk.
             if r.windows_closed > 0 {
-                if let Some(p) = &out_path {
+                if let Some(p) = &sf.out {
                     if let Ok(file) = std::fs::File::create(p) {
                         let _ = s
                             .trajectory_snapshot()
@@ -720,17 +709,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         tail_stats.rotations,
         tail_stats.retries,
     );
-    if let Some(p) = &out_path {
-        let file = std::fs::File::create(p).map_err(|e| e.to_string())?;
-        traj.to_csv(std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
-        eprintln!("wrote trajectory CSV to {p}");
-    }
-    if let Some(p) = json_path {
-        let json = serde_json::to_string(&traj).map_err(|e| e.to_string())?;
-        std::fs::write(&p, json).map_err(|e| e.to_string())?;
-        eprintln!("wrote trajectory JSON to {p}");
-    }
+    write_trajectory(&traj, &sf)?;
     println!("fingerprint={}", traj.fingerprint_digest());
     if let Some(v) = violation {
         return Err(v);

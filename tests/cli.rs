@@ -748,7 +748,8 @@ fn watch_matches_stream_fingerprint_and_enforces_gates() {
 
 /// `--checkpoint`: an interrupted watch resumed with the same flags
 /// reproduces the `qni stream` fingerprint of the complete trace, and a
-/// resume under different byte-affecting options is refused.
+/// resume under different byte-affecting options, or from a checkpoint
+/// of another format version, is refused.
 #[test]
 fn watch_checkpoint_resume_matches_stream_and_rejects_mismatches() {
     let dir = std::env::temp_dir().join("qni-cli-checkpoint-test");
@@ -883,6 +884,25 @@ fn watch_checkpoint_resume_matches_stream_and_rejects_mismatches() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("different schedule/options"),
+        "stderr: {stderr}"
+    );
+
+    // A checkpoint of an earlier format version is refused with the
+    // version error instead of being misread: here the layout version 1
+    // wrote for a session that had read nothing.
+    std::fs::write(
+        &cp,
+        r#"{"version":1,"options_fingerprint":1,"tail":{"offset":0,"pending":[],"line_number":0,"bad_lines":0,"rotations":0,"retries":0},"slicer":{"initial_state":null,"completed":[],"pending":[],"pending_first_event":0,"next_event_id":0,"next_task_id":0,"last_entry_bits":0,"max_observed_entry_bits":0,"next_window":0,"started":false},"engine":{"windows":[],"prev":null},"records_seen":0,"peak_open_spans":0,"peak_buffered_tasks":0}"#,
+    )
+    .expect("write version-1 checkpoint");
+    let out = qni()
+        .args(watch_args(&trace, &cp))
+        .output()
+        .expect("run watch on a version-1 checkpoint");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: ") && stderr.contains("checkpoint format version"),
         "stderr: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);

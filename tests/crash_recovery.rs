@@ -259,7 +259,8 @@ proptest! {
 
     /// Checkpoints taken at arbitrary byte cuts — mid-line included, so
     /// the tail's held partial line and the slicer's buffered tasks are
-    /// non-trivial — survive the JSON round-trip bit for bit.
+    /// non-trivial — survive the JSON round-trip bit for bit: the loaded
+    /// checkpoint writes back the bytes it was read from.
     #[test]
     fn checkpoint_json_round_trips(
         sim_seed in 40u64..48,
@@ -280,7 +281,9 @@ proptest! {
         let cp = session.checkpoint();
         cp.save_atomic(&cp_path).expect("save");
         let loaded = Checkpoint::load(&cp_path).expect("load");
-        prop_assert_eq!(&loaded, &cp);
+        let written = serde_json::to_string(&cp).expect("serialize");
+        prop_assert_eq!(&serde_json::to_string(&loaded).expect("serialize"), &written);
+        prop_assert_eq!(std::fs::read_to_string(&cp_path).expect("read"), written);
         // And the loaded form is resumable (shape-valid), not just equal.
         let resumed = WatchSession::resume(
             &path,
