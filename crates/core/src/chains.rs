@@ -113,7 +113,7 @@ impl ParallelStemOptions {
         }
     }
 
-    fn validate(&self) -> Result<(), InferenceError> {
+    pub(crate) fn validate(&self) -> Result<(), InferenceError> {
         if self.chains == 0 {
             return Err(InferenceError::BadOptions {
                 what: "need at least one chain",

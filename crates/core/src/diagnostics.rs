@@ -61,12 +61,11 @@ pub fn potential_scale_reduction(chains: &[Vec<f64>]) -> Result<f64, InferenceEr
 /// variant recommended by Gelman et al. (*Bayesian Data Analysis*, §11.4)
 /// and reported by Stan.
 pub fn split_potential_scale_reduction(chains: &[Vec<f64>]) -> Result<f64, InferenceError> {
-    if chains.is_empty() {
+    let Some(n) = chains.iter().map(Vec::len).min() else {
         return Err(InferenceError::BadOptions {
             what: "split-R̂ needs at least one chain",
         });
-    }
-    let n = chains.iter().map(Vec::len).min().expect("non-empty"); // qni-lint: allow(QNI-E002) — caller contract: diagnostics run on at least one chain
+    };
     let half = n / 2;
     if half < 2 {
         return Err(InferenceError::BadOptions {

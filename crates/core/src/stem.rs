@@ -293,8 +293,8 @@ pub fn run_mcem<R: Rng + ?Sized>(
         state.set_rates(&rates_buf)?;
         trace.push(rates_buf.clone());
     }
-    let rates = trace.last().expect("at least one iteration").clone(); // qni-lint: allow(QNI-E002) — StemOptions validation rejects iterations == 0
-                                                                       // Waiting estimation identical to StEM.
+    // The last M-step's rates; waiting estimation identical to StEM.
+    let rates = rates_buf;
     state.set_rates(&rates)?;
     let mut wait_acc = vec![0.0f64; q];
     let mut serv_acc = vec![0.0f64; q];

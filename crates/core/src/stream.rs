@@ -20,7 +20,8 @@
 //!   imputed log — is carried into the next window's initialization as
 //!   per-event [`crate::init::WarmTimes`] targets for the tasks the two
 //!   overlapping windows share, rebased onto the new window's clock and
-//!   clamped into feasibility.
+//!   clamped into feasibility. A shared task has the same events in the
+//!   same order in both windows, so its events pair by position.
 //!
 //! Warm starts change only where each chain *begins*; conditionals and
 //! the stationary distribution are untouched, so they accelerate
@@ -94,11 +95,10 @@ use crate::error::InferenceError;
 use crate::gibbs::pool::PoolSet;
 use crate::init::WarmTimes;
 use crate::stem::StemOptions;
+use qni_model::ids::TaskId;
 use qni_model::log::LogInputs;
 use qni_stats::rng::split_seed;
-use qni_trace::window::{
-    occupancy_carry, slice_windows, WindowInputs, WindowSchedule, WindowedLog,
-};
+use qni_trace::window::{occupancy_carry, slice_windows, WindowSchedule, WindowedLog};
 use qni_trace::MaskedLog;
 use serde::{Deserialize, Serialize};
 
@@ -182,28 +182,30 @@ impl StreamOptions {
         }
     }
 
-    /// Validates the configuration (mirrors the per-window
-    /// [`crate::chains`] requirements so errors surface before the first
-    /// window runs).
+    /// The fit options of window `index`: its chains seed from
+    /// `split_seed(master_seed, index)`, and a warm-started window runs
+    /// the amortized burn-in when one is set.
+    fn window_options(&self, index: usize, warm: bool) -> ParallelStemOptions {
+        let mut stem = self.stem.clone();
+        if let (true, Some(b)) = (warm, self.warm_burn_in) {
+            // Amortized burn-in: warm chains start near stationarity.
+            stem.burn_in = b;
+        }
+        ParallelStemOptions {
+            stem,
+            chains: self.chains,
+            master_seed: split_seed(self.master_seed, index as u64),
+            thread_budget: self.thread_budget,
+        }
+    }
+
+    /// Validates the configuration, so errors surface before the first
+    /// window runs: the per-window fit options, and a warm burn-in that
+    /// leaves at least 4 post-burn-in iterations.
     pub fn validate(&self) -> Result<(), InferenceError> {
-        if self.chains == 0 {
-            return Err(InferenceError::BadOptions {
-                what: "need at least one chain",
-            });
-        }
-        if self.thread_budget == Some(0) {
-            return Err(InferenceError::BadOptions {
-                what: "thread budget must be >= 1",
-            });
-        }
-        self.stem.validate()?;
-        if self.stem.iterations < self.stem.burn_in + 4 {
-            return Err(InferenceError::BadOptions {
-                what: "need >= 4 post-burn-in iterations per chain for diagnostics",
-            });
-        }
+        self.window_options(0, false).validate()?;
         if let Some(b) = self.warm_burn_in {
-            if self.stem.iterations < b + 4 {
+            if self.stem.iterations < b.saturating_add(4) {
                 return Err(InferenceError::BadOptions {
                     what: "warm burn-in must leave >= 4 post-burn-in iterations",
                 });
@@ -384,52 +386,52 @@ impl RateTrajectory {
 /// Builds the next window's warm-start targets from the previous
 /// window's final Gibbs log: every free time of a task shared by both
 /// windows is targeted at its previously imputed value, rebased onto the
-/// new window's clock.
-fn carry_warm_times(prev: &WindowInputs, prev_final: &LogInputs, cur: &WindowedLog) -> WarmTimes {
-    // `(arrival, departure)` of the final log's events in event-id
-    // order: each task's q0 event, then its visits.
-    let times: Vec<(f64, f64)> = (prev_final.tasks.iter())
-        .flat_map(|t| std::iter::once((0.0, t.entry)).chain(t.visits.iter().map(|v| (v.2, v.3))))
-        .collect();
+/// new window's clock. A shared task's events pair by position.
+fn carry_warm_times(prev: &PrevWindow, cur: &WindowedLog) -> WarmTimes {
     let shift = prev.start - cur.start;
-    let cur_log = cur.masked().ground_truth();
+    let (cur_log, mask) = (cur.masked().ground_truth(), cur.masked().mask());
     // Sized by the full log (carry events included) — carry events are
     // fully observed, so they simply never gain a target.
     let mut warm = WarmTimes::empty(cur_log.num_events());
-    for (we, oe) in cur.event_mapping() {
-        // A window's original event ids increase along its events, so an
-        // event's local id in the previous window is its position there.
-        let Ok(pe) = prev.orig_events.binary_search(&oe) else {
+    for k in (0..cur.num_tasks()).map(TaskId::from_index) {
+        let shared = prev.orig_tasks.binary_search(&cur.original_task(k));
+        let Some(task) = shared.ok().and_then(|j| prev.final_log.tasks.get(j)) else {
             continue;
         };
-        let (arrival, departure) = times[pe];
-        if !cur_log.is_initial_event(we) && !cur.masked().mask().arrival_observed(we) {
-            warm.set_transition(we, arrival + shift);
-        }
-        if cur_log.is_final_event(we) && !cur.masked().mask().departure_observed(we) {
-            warm.set_final_departure(we, departure + shift);
+        // `(arrival, departure)` of the task's q0 event, then its visits.
+        let times =
+            std::iter::once((0.0, task.entry)).chain(task.visits.iter().map(|v| (v.2, v.3)));
+        for (&e, (arrival, departure)) in cur_log.task_events(k).iter().zip(times) {
+            if !cur_log.is_initial_event(e) && !mask.arrival_observed(e) {
+                warm.set_transition(e, arrival + shift);
+            }
+            if cur_log.is_final_event(e) && !mask.departure_observed(e) {
+                warm.set_final_departure(e, departure + shift);
+            }
         }
     }
     warm
 }
 
-/// State carried from the last fitted window into the next one. It is
-/// also what a checkpoint carries, so both logs are kept as builder
-/// inputs, which the next window reads directly and a resume checks
-/// against the session without building anything.
+/// State carried from the last fitted window into the next one: exactly
+/// what [`StreamEngine::push_window`] reads, and all a checkpoint holds
+/// of the window. Its reported rates are its own estimate, which the
+/// engine keeps already.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct PrevWindow {
-    /// The fitted window (carry tasks included).
-    pub(crate) window: WindowInputs,
-    /// Chain 0's final imputed Gibbs log on that window.
+    /// The fitted window's position in the schedule.
+    pub(crate) index: usize,
+    /// Its start on the original trace's clock.
+    #[serde(with = "qni_model::bits")]
+    pub(crate) start: f64,
+    /// Original-trace ids of its real tasks, increasing.
+    pub(crate) orig_tasks: Vec<TaskId>,
+    /// Chain 0's final imputed Gibbs log on it, as builder inputs: the
+    /// real tasks in `orig_tasks` order, then the carry tasks.
     pub(crate) final_log: LogInputs,
     /// Uncorrected pooled rates — the sampler-facing warm-start values.
     #[serde(with = "qni_model::bits")]
     pub(crate) pooled: Vec<f64>,
-    /// λ̂-corrected rates as reported — what carried (empty-window)
-    /// estimates repeat.
-    #[serde(with = "qni_model::bits")]
-    pub(crate) reported: Vec<f64>,
 }
 
 /// The incremental streaming engine: the persistent cross-window state
@@ -510,13 +512,13 @@ impl StreamEngine {
         let now = move || clock.map_or(0.0, |c| c());
         let t0 = now();
         if window.num_tasks() == 0 {
-            let rates = self
-                .prev
-                .as_ref()
-                .map(|p| p.reported.clone())
-                .unwrap_or_else(|| vec![f64::NAN; self.num_queues]);
-            // An empty window never touches `prev`: the next fitted
-            // window warm-starts from the last *fitted* one.
+            // An empty window repeats the last fitted window's reported
+            // rates, and never touches `prev`: the next fitted window
+            // warm-starts from the last *fitted* one.
+            let rates = match &self.prev {
+                Some(p) => self.windows[p.index].rates.clone(),
+                None => vec![f64::NAN; self.num_queues],
+            };
             self.windows.push(WindowEstimate {
                 index: window.index,
                 start: window.start,
@@ -540,34 +542,19 @@ impl StreamEngine {
         // Inject the carried server occupancy before fitting.
         let window = match (&self.prev, self.opts.occupancy_carry) {
             (Some(p), true) => {
-                let carry = occupancy_carry(&p.window, &p.final_log, &window);
+                let carry = occupancy_carry(p.start, &p.orig_tasks, &p.final_log, &window);
                 window.with_occupancy(&carry)?
             }
             _ => window,
         };
         let (initial_rates, warm) = match (&self.prev, self.opts.warm_start) {
-            (Some(p), true) => (
-                Some(p.pooled.clone()),
-                Some(carry_warm_times(&p.window, &p.final_log, &window)),
-            ),
+            (Some(p), true) => (Some(&p.pooled[..]), Some(carry_warm_times(p, &window))),
             _ => (None, None),
         };
-        let mut stem = self.opts.stem.clone();
-        if warm.is_some() {
-            if let Some(b) = self.opts.warm_burn_in {
-                // Amortized burn-in: warm chains start near stationarity.
-                stem.burn_in = b;
-            }
-        }
-        let popts = ParallelStemOptions {
-            stem,
-            chains: self.opts.chains,
-            master_seed: split_seed(self.opts.master_seed, window.index as u64),
-            thread_budget: self.opts.thread_budget,
-        };
+        let popts = self.opts.window_options(window.index, warm.is_some());
         let mut r = run_stem_parallel_warm_in_pools(
             window.masked(),
-            initial_rates.as_deref(),
+            initial_rates,
             warm.as_ref(),
             &popts,
             &mut self.pools,
@@ -596,7 +583,7 @@ impl StreamEngine {
             free_variables: free,
             warm_started: warm.is_some(),
             carried: false,
-            rates: rates.clone(),
+            rates,
             mean_service,
             split_rhat: r.diagnostics.split_rhat.clone(),
             ess: r.diagnostics.ess.clone(),
@@ -606,10 +593,13 @@ impl StreamEngine {
         // the uncorrected pooled rates donate the next initial rates.
         let donor = r.chains.swap_remove(0).final_log;
         self.prev = Some(PrevWindow {
-            window: window.inputs(),
+            index: window.index,
+            start: window.start,
+            orig_tasks: (0..window.num_tasks())
+                .map(|k| window.original_task(TaskId::from_index(k)))
+                .collect(),
             final_log: donor.inputs(),
             pooled: r.rates,
-            reported: rates,
         });
         self.windows.last().ok_or(InferenceError::BadOptions {
             what: "window list empty after push",
@@ -973,11 +963,13 @@ mod tests {
 
     #[test]
     fn warm_burn_in_amortizes_and_validates() {
-        let bad = StreamOptions {
-            warm_burn_in: Some(StemOptions::quick_test().iterations),
-            ..StreamOptions::quick_test()
-        };
-        assert!(bad.validate().is_err());
+        for b in [StemOptions::quick_test().iterations, usize::MAX] {
+            let bad = StreamOptions {
+                warm_burn_in: Some(b),
+                ..StreamOptions::quick_test()
+            };
+            assert!(bad.validate().is_err(), "warm burn-in {b}");
+        }
         let masked = piecewise_masked(7);
         let schedule = WindowSchedule::new(20.0, 10.0).unwrap();
         let opts = StreamOptions {
@@ -1032,6 +1024,87 @@ mod tests {
                 traj.fingerprint(),
                 replay.fingerprint(),
                 "cut {cut}: trajectory diverged after resume"
+            );
+        }
+    }
+
+    /// The warm-start targets of a per-event search, the oracle for
+    /// [`carry_warm_times`]: every real event of both windows is mapped
+    /// to its event id in the original log, and an event of `cur` takes
+    /// the previous final log's times at the position of its id among
+    /// the previous window's ids.
+    fn warm_times_by_event_id(
+        truth: &qni_model::log::EventLog,
+        prev: &PrevWindow,
+        cur: &WindowedLog,
+    ) -> WarmTimes {
+        let prev_events: Vec<_> = (prev.orig_tasks.iter())
+            .flat_map(|&t| truth.task_events(t).iter().copied())
+            .collect();
+        let cur_events = (0..cur.num_tasks())
+            .flat_map(|k| truth.task_events(cur.original_task(TaskId::from_index(k))));
+        let times: Vec<(f64, f64)> = (prev.final_log.tasks.iter())
+            .flat_map(|t| {
+                std::iter::once((0.0, t.entry)).chain(t.visits.iter().map(|v| (v.2, v.3)))
+            })
+            .collect();
+        let shift = prev.start - cur.start;
+        let (log, mask) = (cur.masked().ground_truth(), cur.masked().mask());
+        let mut warm = WarmTimes::empty(log.num_events());
+        for (i, oe) in cur_events.enumerate() {
+            let we = qni_model::ids::EventId::from_index(i);
+            let Ok(pe) = prev_events.binary_search(oe) else {
+                continue;
+            };
+            let (arrival, departure) = times[pe];
+            if !log.is_initial_event(we) && !mask.arrival_observed(we) {
+                warm.set_transition(we, arrival + shift);
+            }
+            if log.is_final_event(we) && !mask.departure_observed(we) {
+                warm.set_final_departure(we, departure + shift);
+            }
+        }
+        warm
+    }
+
+    /// Pairing a shared task's events by position gives the warm-start
+    /// targets of a per-event search through the original log's event
+    /// ids, bit for bit, on seeded two-stage traces whose windows carry
+    /// occupancy.
+    #[test]
+    fn warm_targets_by_task_match_an_event_id_oracle() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in [31u64, 32, 33] {
+            let bp = tandem(2.0, &[10.0, 12.0]).unwrap();
+            let mut rng = rng_from_seed(seed);
+            let workload = Workload::piecewise_constant(vec![2.0, 5.0], vec![30.0], 60.0).unwrap();
+            let truth = Simulator::new(&bp.network)
+                .run(&workload, &mut rng)
+                .unwrap();
+            let masked = ObservationScheme::task_sampling(0.5)
+                .unwrap()
+                .apply(truth, &mut rng)
+                .unwrap();
+            let schedule = WindowSchedule::new(20.0, 5.0).unwrap();
+            let mut engine = StreamEngine::new(schedule, 3, StreamOptions::quick_test()).unwrap();
+            let (mut carry_tasks, mut targets) = (0, 0);
+            for window in slice_windows(&masked, &schedule).unwrap() {
+                if let (Some(prev), true) = (&engine.prev, window.num_tasks() > 0) {
+                    let carry =
+                        occupancy_carry(prev.start, &prev.orig_tasks, &prev.final_log, &window);
+                    let cur = window.with_occupancy(&carry).unwrap();
+                    let got = carry_warm_times(prev, &cur);
+                    let want = warm_times_by_event_id(masked.ground_truth(), prev, &cur);
+                    assert_eq!(bits(&got.transition), bits(&want.transition));
+                    assert_eq!(bits(&got.final_departure), bits(&want.final_departure));
+                    carry_tasks += prev.final_log.tasks.len() - prev.orig_tasks.len();
+                    targets += got.num_set();
+                }
+                engine.push_window(window).unwrap();
+            }
+            assert!(
+                carry_tasks > 0 && targets > 0,
+                "seed {seed}: {carry_tasks}, {targets}"
             );
         }
     }

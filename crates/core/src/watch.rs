@@ -32,7 +32,7 @@ use crate::error::InferenceError;
 use crate::init::InitStrategy;
 use crate::stream::{EngineState, RateTrajectory, StreamEngine, StreamOptions, WindowEstimate};
 use qni_model::ids::QueueId;
-use qni_model::log::LogInputs;
+use qni_model::log::{LogInputs, TaskInputs};
 use qni_trace::tail::{TailOptions, TailReader, TailSnapshot, TailStats};
 use qni_trace::window::{LiveSlicer, WindowSchedule};
 use qni_trace::TraceError;
@@ -87,7 +87,7 @@ pub struct StepReport {
 
 /// Checkpoint format version; bumped whenever the serialized layout
 /// changes incompatibly.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A crash-consistent snapshot of a whole [`WatchSession`], in the serde
 /// form of the session's own parts:
@@ -97,9 +97,11 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// - the slicer itself ([`LiveSlicer`]): its buffered tasks and the
 ///   in-progress task's records;
 /// - the stream engine's state ([`EngineState`]): every emitted
-///   estimate, plus the last fitted window and chain 0's final imputed
-///   log on it, both logs as builder inputs
-///   ([`qni_model::log::LogInputs`]).
+///   estimate, plus what the next window reads of the last fitted one —
+///   its index and start, the original ids of its real tasks, chain 0's
+///   final imputed log on it as builder inputs
+///   ([`qni_model::log::LogInputs`]), and its uncorrected pooled rates.
+///   No window log, mask or original event id is written.
 ///
 /// Every float goes through the bit-exact codec [`qni_model::bits`]
 /// except the in-progress task's record times, which are finite (the
@@ -223,41 +225,43 @@ impl Checkpoint {
                 "is missing".to_owned()
             });
         };
-        let w = &prev.window;
-        ensure(
-            last_fit == Some(w.index) && in_schedule(w.index, w.start, w.end),
-            "engine.prev.window",
-            || format!("is window {}, the last fitted one {last_fit:?}", w.index),
-        )?;
-        check_log("engine.prev.window.log", &w.log, num_queues)?;
-        check_log("engine.prev.final_log", &prev.final_log, num_queues)?;
-        let (events, tasks) = (w.log.num_events(), w.log.tasks.len());
-        let carry_events = w.carry_tasks.checked_mul(2);
-        let ok = w.mask.len() == events
-            && carry_events.and_then(|c| c.checked_add(w.orig_events.len())) == Some(events)
-            && w.orig_tasks.len().checked_add(w.carry_tasks) == Some(tasks)
-            && w.orig_events.windows(2).all(|p| p[0] < p[1]);
-        ensure(ok, "engine.prev.window", || {
-            format!(
-                "has {} mask entries, {} increasing original ids and {} carry tasks \
-                 for {events} events, {} original tasks for {tasks} tasks",
-                w.mask.len(),
-                w.orig_events.len(),
-                w.carry_tasks,
-                w.orig_tasks.len()
-            )
+        let (index, start) = (prev.index, prev.start);
+        let est = last_fit.map(|i| &windows[i]);
+        let est = est.filter(|w| w.index == index && w.start.to_bits() == start.to_bits());
+        let est = located(est, "engine.prev", || {
+            format!("is window {index} from {start}, the last fitted one {last_fit:?}")
         })?;
-        let final_shape = prev.final_log.tasks.iter().map(|t| t.visits.len());
-        ensure(
-            final_shape.eq(w.log.tasks.iter().map(|t| t.visits.len())),
-            "engine.prev.final_log",
-            || "differs in tasks or visits per task from the carried window".to_owned(),
-        )?;
-        ensure(
-            prev.pooled.len() == num_queues && prev.reported.len() == num_queues,
-            "engine.prev",
-            || "does not have one pooled and reported rate per queue".to_owned(),
-        )
+        let (real, carry, ids) = (est.tasks, est.carry_tasks, &prev.orig_tasks);
+        let ok = ids.len() == real && ids.windows(2).all(|p| p[0] < p[1]);
+        ensure(ok && prev.pooled.len() == num_queues, "engine.prev", || {
+            let (n, pooled) = (ids.len(), prev.pooled.len());
+            format!("has {n} task ids for {real} tasks or out of order, or {pooled} pooled rates")
+        })?;
+        // The final log holds the window's real tasks, then the carry
+        // tasks with one visit each: its counts follow from the estimate.
+        let fin = "engine.prev.final_log";
+        check_log(fin, &prev.final_log, num_queues)?;
+        let tasks = &prev.final_log.tasks;
+        let events = |ts: &[TaskInputs]| ts.iter().map(|t| t.visits.len() + 1).sum::<usize>();
+        let (real_tasks, carry_tasks) = tasks.split_at(real.min(tasks.len()));
+        let counts = (tasks.len(), events(real_tasks), events(carry_tasks));
+        let carry_events = carry.saturating_mul(2);
+        let want = (real.saturating_add(carry), est.events, carry_events);
+        ensure(counts == want, fin, || {
+            format!("has (tasks, real events, carry events) {counts:?}, its window {want:?}")
+        })?;
+        // The next window shares only buffered tasks with this one, and
+        // pairs their events by position.
+        for (task, visits) in self.slicer.buffered_visits() {
+            let Ok(j) = ids.binary_search(&task) else {
+                continue;
+            };
+            let carried = tasks[j].visits.len();
+            ensure(carried == visits, fin, || {
+                format!("has {carried} visits for task {task}, the slicer buffers {visits}")
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -272,15 +276,21 @@ fn check_version(version: u32) -> Result<(), InferenceError> {
     }
 }
 
+/// `value`, or the typed error naming checkpoint `part` if it is `None`.
+fn located<T>(
+    value: Option<T>,
+    part: &str,
+    what: impl FnOnce() -> String,
+) -> Result<T, InferenceError> {
+    value.ok_or_else(|| {
+        let part = part.to_owned();
+        InferenceError::Trace(TraceError::BadCheckpoint { part, what: what() })
+    })
+}
+
 /// Fails with the typed error naming checkpoint `part` unless `ok`.
 fn ensure(ok: bool, part: &str, what: impl FnOnce() -> String) -> Result<(), InferenceError> {
-    if ok {
-        return Ok(());
-    }
-    Err(InferenceError::Trace(TraceError::BadCheckpoint {
-        part: part.to_owned(),
-        what: what(),
-    }))
+    located(ok.then_some(()), part, what)
 }
 
 /// Checks a carried log's inputs before the engine reads them: the
@@ -776,30 +786,65 @@ mod tests {
     }
 
     /// Every edit a resume can meet in a checkpoint's parts — a carried
-    /// final log whose shape differs from its window's, a log for another
-    /// queue count or visiting a queue the session lacks, estimates that
-    /// are not the schedule's, a slicer ahead of the engine, rates of the
-    /// wrong length, a carried window whose mask, original ids or carry
-    /// counts do not cover its log — is refused with a typed error naming
-    /// the part, before anything is built.
+    /// final log that disagrees with its window's estimate or with a task
+    /// the slicer still buffers, a log for another queue count or visiting
+    /// a queue the session lacks, estimates that are not the schedule's, a
+    /// slicer ahead of the engine, a carried window that is not the last
+    /// fitted one, original task ids or rates that do not fit it — is
+    /// refused with a typed error naming the part, before anything is
+    /// built.
     #[test]
     fn resume_rejects_inconsistent_checkpoint_parts() {
-        let masked = piecewise_masked(25);
+        use qni_sim::{Simulator, Workload};
+        use qni_stats::rng::rng_from_seed;
+        // Two service queues, so every task has two visits.
+        let bp = qni_model::topology::tandem(2.0, &[10.0, 12.0]).unwrap();
+        let mut rng = rng_from_seed(25);
+        let workload = Workload::piecewise_constant(vec![2.0, 5.0], vec![30.0], 60.0).unwrap();
+        let truth = Simulator::new(&bp.network)
+            .run(&workload, &mut rng)
+            .unwrap();
+        let masked = ObservationScheme::task_sampling(0.5)
+            .unwrap()
+            .apply(truth, &mut rng)
+            .unwrap();
         let schedule = WindowSchedule::new(20.0, 10.0).unwrap();
         let opts = StreamOptions::quick_test();
         let mut bytes = Vec::new();
         write_jsonl(&masked, &mut bytes).unwrap();
         let path = tmp_path("edited");
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let mut session = WatchSession::new(&path, schedule, 2, opts.clone()).unwrap();
+        let mut session = WatchSession::new(&path, schedule, 3, opts.clone()).unwrap();
         session.step().unwrap();
         let cp = session.checkpoint();
         let resume = |cp: &Checkpoint| {
-            WatchSession::resume(&path, schedule, 2, opts.clone(), TailOptions::default(), cp)
+            WatchSession::resume(&path, schedule, 3, opts.clone(), TailOptions::default(), cp)
         };
         resume(&cp).expect("the unedited checkpoint resumes");
         let json = serde_json::to_string(&cp).unwrap();
         assert!(!json.contains("\"observed_entry\"") && !json.contains("_bits"));
+        // No window log, mask, original event id or second copy of the
+        // reported rates.
+        for key in [
+            "\"window\"",
+            "\"mask\"",
+            "orig_events",
+            "\"reported\"",
+            "event_id",
+        ] {
+            assert!(!json.contains(key), "checkpoint holds {key}");
+        }
+        let carried = cp.engine.prev.as_ref().unwrap();
+        let ids = &carried.orig_tasks;
+        assert!(
+            carried.final_log.tasks.len() > ids.len(),
+            "fixture must carry a carry task"
+        );
+        // A real task the slicer still buffers, and one it has retired.
+        let buffered: Vec<TaskId> = cp.slicer.buffered_visits().map(|(t, _)| t).collect();
+        let shared = (0..ids.len()).find(|&k| buffered.contains(&ids[k]));
+        let shared = shared.expect("fixture must share a buffered task");
+        assert!(!buffered.contains(&ids[0]), "task 0 must be retired");
         let rejects = |part: &str, edit: &dyn Fn(&mut Checkpoint)| {
             let mut bad = cp.clone();
             edit(&mut bad);
@@ -813,15 +858,26 @@ mod tests {
         fn p(cp: &mut Checkpoint) -> &mut crate::stream::PrevWindow {
             cp.engine.prev.as_mut().unwrap()
         }
-        let (log, fin) = ("engine.prev.window.log", "engine.prev.final_log");
-        let (win, prev) = ("engine.prev.window", "engine.prev");
+        let visit = (StateId(1), QueueId(1), 0.0, 0.0);
+        let (fin, prev) = ("engine.prev.final_log", "engine.prev");
         rejects(fin, &|c| drop(p(c).final_log.tasks.pop()));
+        // A real task gaining or losing a visit.
+        rejects(fin, &|c| p(c).final_log.tasks[0].visits.push(visit));
         rejects(fin, &|c| {
-            p(c).final_log.tasks[0]
-                .visits
-                .push((StateId(1), QueueId(1), 0.0, 0.0))
+            p(c).final_log.tasks[0].visits.pop();
         });
-        rejects(log, &|c| p(c).window.log.num_queues = 1_000_000_000_000);
+        // A carry task with two visits.
+        rejects(fin, &|c| {
+            let tasks = &mut p(c).final_log.tasks;
+            tasks.last_mut().unwrap().visits.push(visit);
+        });
+        // A visit moved from a buffered task to a retired one: every count
+        // holds, but the buffered task's carried copy differs from it.
+        rejects(fin, &|c| {
+            let tasks = &mut p(c).final_log.tasks;
+            let moved = tasks[shared].visits.pop().unwrap();
+            tasks[0].visits.push(moved);
+        });
         rejects(fin, &|c| p(c).final_log.num_queues = 1_000_000_000_000);
         rejects(fin, &|c| {
             p(c).final_log.tasks[0].visits[0].1 = QueueId(u32::MAX)
@@ -834,17 +890,37 @@ mod tests {
         rejects("engine.windows[1]", &|c| c.engine.windows[1].end += 1.0);
         rejects("slicer", &|c| drop(c.engine.windows.pop()));
         rejects(prev, &|c| p(c).pooled.truncate(1));
-        rejects(prev, &|c| p(c).reported.push(1.0));
-        rejects(win, &|c| p(c).window.mask.push(true, true));
-        rejects(win, &|c| p(c).window.orig_events.truncate(3));
-        rejects(win, &|c| p(c).window.orig_tasks.push(TaskId(0)));
-        rejects(win, &|c| p(c).window.orig_events.swap(0, 1));
-        // The slicer's next window is private to it: edit the JSON.
+        rejects(prev, &|c| p(c).index -= 1);
+        rejects(prev, &|c| p(c).start += 1.0);
+        rejects(prev, &|c| p(c).orig_tasks.push(TaskId(u32::MAX)));
+        rejects(prev, &|c| {
+            p(c).orig_tasks.pop();
+        });
+        rejects(prev, &|c| p(c).orig_tasks.swap(0, 1));
+        // The slicer's fields are private to it: edit the JSON.
+        let edit_json = |from: &str, to: &str| {
+            let edited = json.replacen(from, to, 1);
+            assert_ne!(edited, json, "{from} not found");
+            resume(&serde_json::from_str(&edited).unwrap()).unwrap_err()
+        };
         let needle = format!("\"next_window\":{}", cp.slicer.next_window_index());
-        let edited = json.replacen(&needle, "\"next_window\":9223372036854775808", 1);
-        let err = resume(&serde_json::from_str(&edited).unwrap()).unwrap_err();
+        let err = edit_json(&needle, "\"next_window\":9223372036854775808");
         assert!(
             err.to_string().contains("checkpoint slicer: next window"),
+            "{err}"
+        );
+        // The buffered copy of a shared task gains a visit and its flag.
+        let task = serde_json::to_string(&ids[shared]).unwrap();
+        let at = json
+            .find(&format!("\"orig_task\":{task},"))
+            .expect("buffered task");
+        let (head, tail) = json.split_at(at);
+        let tail = tail.replacen("\"visits\":[", "\"visits\":[[1,1,0,0],", 1);
+        let tail = tail.replacen("\"flags\":[", "\"flags\":[[true,true],", 1);
+        let err = edit_json(&json, &format!("{head}{tail}"));
+        assert!(
+            err.to_string()
+                .contains("checkpoint engine.prev.final_log: has 2 visits"),
             "{err}"
         );
         std::fs::remove_file(&path).unwrap();

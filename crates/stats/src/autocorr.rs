@@ -67,11 +67,11 @@ pub fn effective_sample_size(xs: &[f64]) -> Result<f64, StatsError> {
 /// reduction factor (R̂²); `W ≤ 0` with `var⁺ > 0` means constant chains
 /// stuck at different values (maximally unmixed).
 pub fn within_and_pooled_variance(chains: &[&[f64]]) -> Result<(f64, f64), StatsError> {
-    if chains.len() < 2 || chains.iter().any(|c| c.len() < 2) {
+    let shortest = chains.iter().map(|c| c.len()).min();
+    let Some(n) = shortest.filter(|&n| n >= 2 && chains.len() >= 2) else {
         return Err(StatsError::EmptyData);
-    }
+    };
     let m = chains.len() as f64;
-    let n = chains.iter().map(|c| c.len()).min().expect("non-empty"); // qni-lint: allow(QNI-E002) — caller contract: diagnostics run on at least one chain
     let means: Vec<f64> = chains
         .iter()
         .map(|c| c[..n].iter().sum::<f64>() / n as f64)
@@ -113,10 +113,9 @@ pub fn within_and_pooled_variance(chains: &[&[f64]]) -> Result<(f64, f64), Stats
 /// assert!(pooled > 0.0);
 /// ```
 pub fn multi_chain_ess(chains: &[&[f64]]) -> Result<f64, StatsError> {
-    if chains.is_empty() {
+    let Some(n) = chains.iter().map(|c| c.len()).min() else {
         return Err(StatsError::EmptyData);
-    }
-    let n = chains.iter().map(|c| c.len()).min().expect("non-empty"); // qni-lint: allow(QNI-E002) — caller contract: diagnostics run on at least one chain
+    };
     let truncated: Vec<&[f64]> = chains.iter().map(|c| &c[..n]).collect();
     let mut total = 0.0;
     for c in &truncated {

@@ -49,6 +49,5 @@ pub use tail::{
     LineAssembler, RetryPolicy, RotationPolicy, TailOptions, TailReader, TailSnapshot, TailStats,
 };
 pub use window::{
-    occupancy_carry, slice_windows, LiveSlicer, OccupancyCarry, WindowInputs, WindowSchedule,
-    WindowedLog,
+    occupancy_carry, slice_windows, LiveSlicer, OccupancyCarry, WindowSchedule, WindowedLog,
 };

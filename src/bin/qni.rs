@@ -9,8 +9,9 @@
 //! ```
 //!
 //! Flags are deliberately minimal (no external argument-parsing
-//! dependency); every subcommand prints `--help`-style usage on error,
-//! including a flag it does not know or one given twice.
+//! dependency). A usage error — an unknown command, or a flag that is
+//! unknown, repeated, missing or has a bad value — prints `--help`-style
+//! usage after its `error:` line; a failure once the flags parse does not.
 
 use qni::prelude::*;
 use std::collections::HashMap;
@@ -46,15 +47,39 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliError::Usage(e)) => eprintln!("error: {e}\n{USAGE}"),
+        Err(CliError::Failed(e)) => eprintln!("error: {e}"),
     }
+    ExitCode::FAILURE
+}
+
+/// Why a command failed: a usage error, printed with the usage text, or
+/// a failure once its flags parse, printed alone.
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+/// A flag's error (the flag helpers return `String`) is a usage error.
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Usage(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Usage(e.to_owned())
+    }
+}
+
+/// A failure once the flags parse.
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
 }
 
 const USAGE: &str = "\
@@ -133,7 +158,7 @@ fn get_usize(
     }
 }
 
-fn cmd_simulate(flags: &mut HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &mut HashMap<String, String>) -> Result<(), CliError> {
     let tiers: Vec<usize> = flags
         .remove("tiers")
         .ok_or("simulate requires --tiers (e.g. 1,2,4)")?
@@ -156,14 +181,13 @@ fn cmd_simulate(flags: &mut HashMap<String, String>) -> Result<(), String> {
             &Workload::poisson_n(lambda, tasks).map_err(|e| e.to_string())?,
             &mut rng,
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
     let masked = ObservationScheme::task_sampling(observe)
         .map_err(|e| e.to_string())?
         .apply(truth, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let file = std::fs::File::create(&out).map_err(|e| e.to_string())?;
-    qni::trace::record::write_jsonl(&masked, std::io::BufWriter::new(file))
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
+    let file = std::fs::File::create(&out).map_err(failed)?;
+    qni::trace::record::write_jsonl(&masked, std::io::BufWriter::new(file)).map_err(failed)?;
     eprintln!(
         "wrote {} events ({} tasks, {:.1}% arrivals observed) to {out}",
         masked.ground_truth().num_events(),
@@ -258,7 +282,7 @@ fn parse_engine_flags(
     })
 }
 
-fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Result<(), String> {
+fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Result<(), CliError> {
     let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
     let EngineFlags {
         opts,
@@ -268,7 +292,7 @@ fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Resu
         threads,
     } = parse_engine_flags(flags, 20)?;
     reject_unknown(flags)?;
-    let masked = load_masked(&trace)?;
+    let masked = load_masked(&trace).map_err(CliError::Failed)?;
     // Every chain count (including 1) routes through the parallel engine,
     // so diagnostics are always reported and every run uses the same
     // seed-derivation scheme (chain k draws from split_seed(seed, k); to
@@ -280,7 +304,7 @@ fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Resu
         master_seed: seed,
         thread_budget: Some(threads),
     };
-    let r = run_stem_parallel(&masked, None, &popts).map_err(|e| e.to_string())?;
+    let r = run_stem_parallel(&masked, None, &popts).map_err(failed)?;
     println!("pooled over {chains} chain(s) (master seed {seed}, per-chain seeds via split_seed)");
     if shards > 1 {
         let effective = popts.effective_shard().workers();
@@ -316,7 +340,7 @@ fn cmd_infer(flags: &mut HashMap<String, String>, localize_report: bool) -> Resu
         );
     }
     if localize_report {
-        let report = localize(&r.mean_service, &r.mean_waiting).map_err(|e| e.to_string())?;
+        let report = localize(&r.mean_service, &r.mean_waiting).map_err(failed)?;
         println!("\nbottleneck ranking:");
         for d in &report.ranked {
             println!(
@@ -393,18 +417,21 @@ fn parse_stream_flags(
             ))
         }
     };
+    let opts = StreamOptions {
+        stem: opts,
+        chains,
+        master_seed: seed,
+        thread_budget: Some(threads),
+        warm_start,
+        warm_burn_in,
+        occupancy_carry,
+        clock: Some(monotonic_secs),
+    };
+    // A warm burn-in that leaves too few iterations is a bad flag value.
+    opts.validate().map_err(|e| e.to_string())?;
     Ok(StreamFlags {
         schedule: WindowSchedule::new(width, stride).map_err(|e| e.to_string())?,
-        opts: StreamOptions {
-            stem: opts,
-            chains,
-            master_seed: seed,
-            thread_budget: Some(threads),
-            warm_start,
-            warm_burn_in,
-            occupancy_carry,
-            clock: Some(monotonic_secs),
-        },
+        opts,
         out: flags.remove("out"),
         json: flags.remove("json"),
     })
@@ -452,27 +479,26 @@ fn print_window_row(w: &WindowEstimate, lag: Option<f64>) {
 
 /// Writes the trajectory to the `--out` CSV and the `--json` file, for
 /// whichever was given.
-fn write_trajectory(traj: &RateTrajectory, flags: &StreamFlags) -> Result<(), String> {
+fn write_trajectory(traj: &RateTrajectory, flags: &StreamFlags) -> Result<(), CliError> {
     if let Some(path) = &flags.out {
-        let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        traj.to_csv(std::io::BufWriter::new(file))
-            .map_err(|e| e.to_string())?;
+        let file = std::fs::File::create(path).map_err(failed)?;
+        traj.to_csv(std::io::BufWriter::new(file)).map_err(failed)?;
         eprintln!("wrote trajectory CSV to {path}");
     }
     if let Some(path) = &flags.json {
-        let json = serde_json::to_string(traj).map_err(|e| e.to_string())?;
-        std::fs::write(path, json).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string(traj).map_err(failed)?;
+        std::fs::write(path, json).map_err(failed)?;
         eprintln!("wrote trajectory JSON to {path}");
     }
     Ok(())
 }
 
-fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
+fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), CliError> {
     let trace = flags.remove("trace").ok_or("requires --trace FILE")?;
     let sf = parse_stream_flags(flags, "stream")?;
     reject_unknown(flags)?;
-    let masked = load_masked(&trace)?;
-    let traj = run_stream(&masked, &sf.schedule, &sf.opts).map_err(|e| e.to_string())?;
+    let masked = load_masked(&trace).map_err(CliError::Failed)?;
+    let traj = run_stream(&masked, &sf.schedule, &sf.opts).map_err(failed)?;
     println!(
         "streaming over {} window(s) (width {}, stride {}, warm-start {}, \
          {} chain(s), master seed {}; window w seeds via split_seed(seed, w))",
@@ -515,7 +541,7 @@ fn cmd_stream(flags: &mut HashMap<String, String>) -> Result<(), String> {
 /// the same command resumes from it bit-identically. `--follow-rotations
 /// on` survives copytruncate log rotation, and `--max-bad-lines N`
 /// quarantines up to N malformed lines before hard-failing.
-fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
+fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), CliError> {
     let path = flags.remove("trace").ok_or("watch requires --trace FILE")?;
     let sf = parse_stream_flags(flags, "watch")?;
     let (schedule, stride) = (sf.schedule, sf.schedule.stride());
@@ -548,9 +574,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         None | Some("off") => false,
         Some("on") => true,
         Some(v) => {
-            return Err(format!(
-                "--follow-rotations: expected `on` or `off`, got `{v}`"
-            ))
+            return Err(format!("--follow-rotations: expected `on` or `off`, got `{v}`").into())
         }
     };
     let max_bad_lines = get_usize(flags, "max-bad-lines", 0)? as u64;
@@ -580,7 +604,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         .filter(|p| std::path::Path::new(p).exists())
         .map(Checkpoint::load)
         .transpose()
-        .map_err(|e| e.to_string())?;
+        .map_err(failed)?;
     let resumed_from = existing.as_ref().map(|cp| cp.tail.offset);
     let mut session = match &existing {
         Some(cp) => {
@@ -590,7 +614,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
             WatchSession::with_tail_options(&path, schedule, num_queues, sf.opts.clone(), tail_opts)
         }
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     println!(
         "watching {path} (width {}, stride {stride}, {num_queues} queues, \
          poll {poll_ms} ms, stop after {idle_polls} idle polls, master seed {})",
@@ -673,7 +697,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
             }
         },
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     let peak_open = session.peak_open_spans();
     let peak_buffered = session.peak_buffered_tasks();
     let records = session.records_seen();
@@ -685,7 +709,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         session
             .checkpoint()
             .save_atomic(cp)
-            .map_err(|e| format!("final checkpoint write failed: {e}"))?;
+            .map_err(|e| failed(format!("final checkpoint write failed: {e}")))?;
         eprintln!("wrote checkpoint to {cp}");
     }
     let aborted = violation.is_some() || checkpoint_error.is_some();
@@ -693,7 +717,7 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
         // Do not drain: the run is failing; report what was fitted.
         session.trajectory_snapshot()
     } else {
-        session.finish().map_err(|e| e.to_string())?
+        session.finish().map_err(failed)?
     };
     println!(
         "{}: {records} records, {} windows, peak {peak_open} resident window(s), \
@@ -711,13 +735,10 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), String> {
     );
     write_trajectory(&traj, &sf)?;
     println!("fingerprint={}", traj.fingerprint_digest());
-    if let Some(v) = violation {
-        return Err(v);
+    match violation.or(checkpoint_error) {
+        Some(e) => Err(CliError::Failed(e)),
+        None => Ok(()),
     }
-    if let Some(e) = checkpoint_error {
-        return Err(e);
-    }
-    Ok(())
 }
 
 /// Millisecond sleeper injected into the tail's [`RetryPolicy`] — the
@@ -819,7 +840,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_volume(flags: &mut HashMap<String, String>) -> Result<(), String> {
+fn cmd_volume(flags: &mut HashMap<String, String>) -> Result<(), CliError> {
     use qni::trace::volume::{human_bytes, DeploymentVolume, RecordCost};
     let tasks_per_day = get_usize(flags, "tasks-per-day", 0)? as u64;
     let events_per_task = get_usize(flags, "events-per-task", 0)? as u64;

@@ -104,7 +104,9 @@ fn simulate_then_infer_round_trip() {
 
 /// A bad trace line fails `infer` naming the file, the 1-based line, the
 /// line's byte offset and the byte within the line; a malformed task
-/// fails with the task's id.
+/// fails with the task's id. Like a missing trace file, these are
+/// failures once the flags parse: the `error:` line comes without the
+/// usage text.
 #[test]
 fn infer_locates_bad_lines_and_names_malformed_tasks() {
     let dir = std::env::temp_dir().join("qni-cli-bad-trace-test");
@@ -153,6 +155,20 @@ fn infer_locates_bad_lines_and_names_malformed_tasks() {
         lines[5].len() + 1
     );
     assert!(stderr.starts_with(&want), "stderr: {stderr}");
+    assert!(!stderr.contains("USAGE"), "stderr: {stderr}");
+
+    let missing = dir.join("missing.jsonl");
+    let _ = std::fs::remove_file(&missing);
+    let out = qni()
+        .args(["infer", "--trace", missing.to_str().expect("utf8 path")])
+        .output()
+        .expect("run infer");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: ") && !stderr.contains("USAGE"),
+        "stderr: {stderr}"
+    );
 
     // Task 1 cut to its q0 record, then task 1 without its q0 record.
     let task1 = lines
@@ -749,7 +765,8 @@ fn watch_matches_stream_fingerprint_and_enforces_gates() {
 /// `--checkpoint`: an interrupted watch resumed with the same flags
 /// reproduces the `qni stream` fingerprint of the complete trace, and a
 /// resume under different byte-affecting options, or from a checkpoint
-/// of another format version, is refused.
+/// of another format version, is refused with an `error:` line and no
+/// usage text.
 #[test]
 fn watch_checkpoint_resume_matches_stream_and_rejects_mismatches() {
     let dir = std::env::temp_dir().join("qni-cli-checkpoint-test");
@@ -883,27 +900,29 @@ fn watch_checkpoint_resume_matches_stream_and_rejects_mismatches() {
     assert!(!out.status.success(), "mismatched resume must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("different schedule/options"),
+        stderr.contains("different schedule/options") && !stderr.contains("USAGE"),
         "stderr: {stderr}"
     );
 
     // A checkpoint of an earlier format version is refused with the
-    // version error instead of being misread: here the layout version 1
-    // wrote for a session that had read nothing.
-    std::fs::write(
-        &cp,
-        r#"{"version":1,"options_fingerprint":1,"tail":{"offset":0,"pending":[],"line_number":0,"bad_lines":0,"rotations":0,"retries":0},"slicer":{"initial_state":null,"completed":[],"pending":[],"pending_first_event":0,"next_event_id":0,"next_task_id":0,"last_entry_bits":0,"max_observed_entry_bits":0,"next_window":0,"started":false},"engine":{"windows":[],"prev":null},"records_seen":0,"peak_open_spans":0,"peak_buffered_tasks":0}"#,
-    )
-    .expect("write version-1 checkpoint");
-    let out = qni()
-        .args(watch_args(&trace, &cp))
-        .output()
-        .expect("run watch on a version-1 checkpoint");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error: ") && stderr.contains("checkpoint format version"),
-        "stderr: {stderr}"
-    );
+    // version error instead of being misread: here the layouts versions 1
+    // and 2 wrote for a session that had read nothing.
+    let version_1 = r#"{"version":1,"options_fingerprint":1,"tail":{"offset":0,"pending":[],"line_number":0,"bad_lines":0,"rotations":0,"retries":0},"slicer":{"initial_state":null,"completed":[],"pending":[],"pending_first_event":0,"next_event_id":0,"next_task_id":0,"last_entry_bits":0,"max_observed_entry_bits":0,"next_window":0,"started":false},"engine":{"windows":[],"prev":null},"records_seen":0,"peak_open_spans":0,"peak_buffered_tasks":0}"#;
+    let version_2 = r#"{"version":2,"options_fingerprint":10039482343086171814,"tail":{"offset":0,"pending":[],"line_number":0,"bad_lines":0,"rotations":0,"retries":0},"slicer":{"schedule":{"width":4621819117588971520,"stride":4617315517961601024},"num_queues":3,"initial_state":null,"completed":[],"pending":[],"pending_first_event":0,"next_event_id":0,"next_task_id":0,"last_entry":0,"max_observed_entry":0,"next_window":0,"started":false},"engine":{"windows":[],"prev":null},"records_seen":0,"peak_open_spans":0,"peak_buffered_tasks":0}"#;
+    for old in [version_1, version_2] {
+        std::fs::write(&cp, old).expect("write old checkpoint");
+        let out = qni()
+            .args(watch_args(&trace, &cp))
+            .output()
+            .expect("run watch on an old checkpoint");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("checkpoint format version")
+                && !stderr.contains("USAGE"),
+            "stderr: {stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
