@@ -59,8 +59,8 @@ impl ChainWorkload {
     /// The engine options for running this workload at `chains` chains:
     /// each chain gets `burn_in + ceil(samples_total / chains)` iterations,
     /// so the *total* kept-sample budget is fixed while the post-burn-in
-    /// work parallelizes. Shared by [`measure`] and the `par_stem`
-    /// criterion bench so the fixed-budget formula lives in one place.
+    /// work parallelizes. Shared by [`measure`] and its warm-up so the
+    /// fixed-budget formula lives in one place.
     pub fn options_for(&self, chains: usize) -> ParallelStemOptions {
         ParallelStemOptions {
             stem: StemOptions {

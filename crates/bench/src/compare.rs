@@ -3,16 +3,11 @@
 //! The `bench-smoke` job uploads its `BENCH_*.json` reports per run. The
 //! `bench_compare` binary checks the current numbers against history, so
 //! regressions are caught across runs, not just against the in-run
-//! baseline. Two modes:
-//!
-//! - **Pairwise** (`--previous`): compare against the single previous
-//!   successful run's artifact. One noisy previous run skews the floor.
-//! - **Rolling history** (`--history-dir`): keep the last `K` accepted
-//!   reports in a directory (itself round-tripped as a CI artifact) and
-//!   compare each headline metric against the *rolling median* of its
-//!   history — robust to individual noisy runs in a way the pairwise
-//!   check is not. After a passing comparison the current report is
-//!   appended to the directory and the oldest entries pruned to `K`.
+//! baseline. It keeps the last `K` accepted reports in a directory
+//! (itself round-tripped as a CI artifact) and compares each headline
+//! metric against the *rolling median* of its history, which one noisy
+//! run cannot skew. After a passing comparison the current report is
+//! appended to the directory and the oldest entries pruned to `K`.
 //!
 //! When no history exists (first run, expired retention, forked PR
 //! without artifact access) the comparison is skipped — the absolute
@@ -29,8 +24,8 @@ use crate::shard_speedup::ShardSpeedupReport;
 use crate::stream_tracking::StreamTrackingReport;
 use std::path::{Path, PathBuf};
 
-/// Default fraction of the previous run's speedup the current run must
-/// retain. 0.75 tolerates heavy runner noise while still catching a
+/// Default fraction of the history's median speedup the current run
+/// must retain. 0.75 tolerates heavy runner noise while still catching a
 /// real "parallelism silently turned off" regression (which shows up as
 /// a ~2x drop).
 pub const DEFAULT_MIN_RATIO: f64 = 0.75;
@@ -38,7 +33,7 @@ pub const DEFAULT_MIN_RATIO: f64 = 0.75;
 /// The outcome of one cross-run comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Outcome {
-    /// No previous artifact (or it was unreadable): nothing to compare.
+    /// No history to compare against.
     NoBaseline(String),
     /// Comparison ran; every point held up.
     Ok(Vec<String>),
@@ -73,107 +68,6 @@ fn check_point(name: &str, current: f64, previous: f64, min_ratio: f64) -> (bool
     )
 }
 
-/// Compares two `BENCH_batch.json` reports: every workload present in
-/// both must retain `min_ratio` of its previous batched-vs-scalar
-/// speedup.
-pub fn compare_batch(
-    current: &BatchSpeedupReport,
-    previous: &BatchSpeedupReport,
-    min_ratio: f64,
-) -> Outcome {
-    let mut lines = Vec::new();
-    let mut regressed = false;
-    for cur in &current.points {
-        let Some(prev) = previous.points.iter().find(|p| p.name == cur.name) else {
-            lines.push(format!("{}: new workload, no previous point", cur.name));
-            continue;
-        };
-        let (ok, line) = check_point(&cur.name, cur.speedup, prev.speedup, min_ratio);
-        regressed |= !ok;
-        lines.push(line);
-    }
-    if regressed {
-        Outcome::Regressed(lines)
-    } else {
-        Outcome::Ok(lines)
-    }
-}
-
-/// Compares two `BENCH_shard.json` reports on the max-shard speedup of
-/// every workload present in both. Skipped entirely when either run was
-/// measured on a single-thread host (its speedups are ≤ 1 by
-/// construction, so a comparison would only measure noise).
-pub fn compare_shard(
-    current: &ShardSpeedupReport,
-    previous: &ShardSpeedupReport,
-    min_ratio: f64,
-) -> Outcome {
-    if current.host_threads < 2 || previous.host_threads < 2 {
-        return Outcome::NoBaseline(format!(
-            "shard speedups need a multi-core host (current: {} threads, previous: {})",
-            current.host_threads, previous.host_threads
-        ));
-    }
-    let mut lines = Vec::new();
-    let mut regressed = false;
-    for cur in &current.points {
-        let Some(prev) = previous.points.iter().find(|p| p.name == cur.name) else {
-            lines.push(format!("{}: new workload, no previous point", cur.name));
-            continue;
-        };
-        let (Some(&c), Some(&p)) = (cur.speedup.last(), prev.speedup.last()) else {
-            lines.push(format!("{}: empty speedup vector, skipped", cur.name));
-            continue;
-        };
-        let (ok, line) = check_point(&cur.name, c, p, min_ratio);
-        regressed |= !ok;
-        lines.push(line);
-    }
-    if regressed {
-        Outcome::Regressed(lines)
-    } else {
-        Outcome::Ok(lines)
-    }
-}
-
-/// Compares two `BENCH_chains.json` reports on the largest-K point's
-/// wall-clock speedup. Skipped when either run was measured on a
-/// single-thread host (multi-chain speedups are ≤ 1 by construction
-/// there, so a comparison would only measure noise) — the same rule as
-/// [`compare_shard`].
-pub fn compare_chains(
-    current: &ChainScalingReport,
-    previous: &ChainScalingReport,
-    min_ratio: f64,
-) -> Outcome {
-    if current.available_parallelism < 2 || previous.available_parallelism < 2 {
-        return Outcome::NoBaseline(format!(
-            "chain speedups need a multi-core host (current: {} threads, previous: {})",
-            current.available_parallelism, previous.available_parallelism
-        ));
-    }
-    let max_point = |r: &ChainScalingReport| {
-        r.points
-            .iter()
-            .max_by_key(|p| p.chains)
-            .map(|p| (p.chains, p.speedup))
-    };
-    let (Some((ck, c)), Some((pk, p))) = (max_point(current), max_point(previous)) else {
-        return Outcome::NoBaseline("a report has no measurement points".into());
-    };
-    if ck != pk {
-        return Outcome::NoBaseline(format!(
-            "chain counts differ (current max K={ck}, previous K={pk})"
-        ));
-    }
-    let (ok, line) = check_point(&format!("chains K={ck}"), c, p, min_ratio);
-    if ok {
-        Outcome::Ok(vec![line])
-    } else {
-        Outcome::Regressed(vec![line])
-    }
-}
-
 /// Smallest tracking error treated as meaningfully nonzero: below this,
 /// ratio comparisons would amplify Monte-Carlo dust into failures.
 const STREAM_ERR_FLOOR: f64 = 0.02;
@@ -194,43 +88,6 @@ fn check_error_point(name: &str, current: f64, previous: f64, min_ratio: f64) ->
         ),
     )
 }
-
-/// Compares two `BENCH_stream.json` reports on the warm and cold mean
-/// tracking errors (lower is better; the runs are fully seeded so the
-/// error itself is deterministic given an unchanged scenario).
-pub fn compare_stream(
-    current: &StreamTrackingReport,
-    previous: &StreamTrackingReport,
-    min_ratio: f64,
-) -> Outcome {
-    let mut lines = Vec::new();
-    let mut regressed = false;
-    for (cur, prev) in [
-        (&current.warm, &previous.warm),
-        (&current.cold, &previous.cold),
-    ] {
-        if !(cur.mean_rel_err.is_finite() && prev.mean_rel_err.is_finite()) {
-            lines.push(format!(
-                "{}: no eligible windows in one run, skipped",
-                cur.mode
-            ));
-            continue;
-        }
-        let (ok, line) =
-            check_error_point(&cur.mode, cur.mean_rel_err, prev.mean_rel_err, min_ratio);
-        regressed |= !ok;
-        lines.push(line);
-    }
-    if regressed {
-        Outcome::Regressed(lines)
-    } else {
-        Outcome::Ok(lines)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rolling-history mode.
-// ---------------------------------------------------------------------
 
 /// Default number of historical reports kept per benchmark kind.
 pub const DEFAULT_KEEP: usize = 10;
@@ -461,49 +318,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_within_tolerance_passes() {
-        let out = compare_batch(&batch_report(1.3), &batch_report(1.5), DEFAULT_MIN_RATIO);
-        assert!(!out.is_regression(), "{:?}", out.lines());
-    }
-
-    #[test]
-    fn batch_large_drop_regresses() {
-        let out = compare_batch(&batch_report(0.9), &batch_report(1.5), DEFAULT_MIN_RATIO);
-        assert!(out.is_regression());
-    }
-
-    #[test]
-    fn shard_comparison_checks_max_shard_point() {
-        let out = compare_shard(
-            &shard_report(1.8, 4),
-            &shard_report(2.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-        let out = compare_shard(
-            &shard_report(1.0, 4),
-            &shard_report(2.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(out.is_regression());
-    }
-
-    #[test]
-    fn shard_comparison_skipped_on_single_core_hosts() {
-        let out = compare_shard(
-            &shard_report(0.8, 1),
-            &shard_report(2.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(
-            !out.is_regression(),
-            "1-core current host must skip: {:?}",
-            out.lines()
-        );
-        assert!(matches!(out, Outcome::NoBaseline(_)));
-    }
-
     fn chains_report(speedup4: f64, parallelism: usize) -> ChainScalingReport {
         ChainScalingReport {
             bench: "chain_scaling".into(),
@@ -553,60 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn chains_comparison_checks_max_k_and_skips_single_core() {
-        let out = compare_chains(
-            &chains_report(2.5, 4),
-            &chains_report(3.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-        let out = compare_chains(
-            &chains_report(1.0, 4),
-            &chains_report(3.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(out.is_regression());
-        let out = compare_chains(
-            &chains_report(0.8, 1),
-            &chains_report(3.0, 4),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(matches!(out, Outcome::NoBaseline(_)));
-    }
-
-    #[test]
-    fn stream_comparison_fails_on_error_growth_only() {
-        // Error shrank: fine.
-        let out = compare_stream(
-            &stream_report(0.05, 0.08),
-            &stream_report(0.08, 0.10),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-        // Error grew slightly within the ceiling: fine.
-        let out = compare_stream(
-            &stream_report(0.09, 0.08),
-            &stream_report(0.08, 0.08),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-        // Warm error blew up: regression.
-        let out = compare_stream(
-            &stream_report(0.20, 0.08),
-            &stream_report(0.08, 0.08),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(out.is_regression());
-        // Near-zero noise is floored, not failed.
-        let out = compare_stream(
-            &stream_report(0.02, 0.02),
-            &stream_report(0.005, 0.005),
-            DEFAULT_MIN_RATIO,
-        );
-        assert!(!out.is_regression(), "{:?}", out.lines());
-    }
-
-    #[test]
     fn median_handles_odd_even_and_empty() {
         assert!(median(&[]).is_none());
         assert!((median(&[3.0, 1.0, 2.0]).expect("odd") - 2.0).abs() < 1e-12);
@@ -650,6 +410,21 @@ mod tests {
             DEFAULT_MIN_RATIO,
         );
         assert!(bad.is_regression(), "{:?}", bad.lines());
+        // Near-zero noise is floored, not failed: the ceiling over a
+        // 0.5 % median is the 2 % floor over the ratio, not 0.67 %.
+        let tiny: Vec<Vec<Metric>> = vec![stream_metrics(&stream_report(0.005, 0.005)); 3];
+        let floored = compare_to_history(
+            &stream_metrics(&stream_report(0.02, 0.02)),
+            &tiny,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(!floored.is_regression(), "{:?}", floored.lines());
+        let above = compare_to_history(
+            &stream_metrics(&stream_report(0.03, 0.02)),
+            &tiny,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(above.is_regression(), "{:?}", above.lines());
     }
 
     #[test]
@@ -684,8 +459,43 @@ mod tests {
     fn unknown_workloads_are_reported_not_failed() {
         let mut prev = batch_report(1.5);
         prev.points[0].name = "other".into();
-        let out = compare_batch(&batch_report(1.0), &prev, DEFAULT_MIN_RATIO);
+        let hist = vec![batch_metrics(&prev)];
+        let out = compare_to_history(&batch_metrics(&batch_report(1.0)), &hist, DEFAULT_MIN_RATIO);
         assert!(!out.is_regression());
-        assert!(out.lines()[0].contains("no previous point"));
+        assert!(out.lines()[0].contains("new metric, no history"));
+    }
+
+    #[test]
+    fn shard_and_chain_history_compare_the_largest_point() {
+        // The max-shard and largest-K speedups are the headline metrics;
+        // the smaller points (1.4x at 2 shards, 1.0x at K=1) never are.
+        let hist = vec![shard_metrics(&shard_report(2.0, 4))];
+        assert_eq!(hist[0], vec![Metric::speedup("tandem3 (max shards)", 2.0)]);
+        let ok = compare_to_history(
+            &shard_metrics(&shard_report(1.8, 4)),
+            &hist,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(!ok.is_regression(), "{:?}", ok.lines());
+        let bad = compare_to_history(
+            &shard_metrics(&shard_report(1.0, 4)),
+            &hist,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(bad.is_regression(), "{:?}", bad.lines());
+        let hist = vec![chains_metrics(&chains_report(3.0, 4))];
+        assert_eq!(hist[0], vec![Metric::speedup("chains K=4", 3.0)]);
+        let ok = compare_to_history(
+            &chains_metrics(&chains_report(2.5, 4)),
+            &hist,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(!ok.is_regression(), "{:?}", ok.lines());
+        let bad = compare_to_history(
+            &chains_metrics(&chains_report(1.0, 4)),
+            &hist,
+            DEFAULT_MIN_RATIO,
+        );
+        assert!(bad.is_regression(), "{:?}", bad.lines());
     }
 }

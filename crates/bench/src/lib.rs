@@ -27,7 +27,8 @@
 //!   `BENCH_stream.json` (tracking error + per-window wall time, warm
 //!   vs. cold starts) and the `stream_trajectory.csv` artifact.
 //! - `bench_compare` — cross-run regression check: compares the current
-//!   `BENCH_*.json` against the previous CI run's artifact.
+//!   `BENCH_*.json` against the rolling median of the last accepted
+//!   CI runs' reports.
 //!
 //! Shared infrastructure lives here: replication runners, parallel
 //! mapping, and console tables. CSV outputs land in `results/`.

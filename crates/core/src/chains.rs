@@ -9,6 +9,9 @@
 //! point estimate, and reports split-R̂ / pooled-ESS convergence
 //! diagnostics — the multi-chain mixing checks of Sutton & Jordan's
 //! journal follow-up, which a single chain cannot compute about itself.
+//! Each chain is a [`crate::stem::run_stem`] fit that owns its wave pool
+//! for the fit's duration, so `K` chains at `Sharded(n)` occupy `K × n`
+//! threads and none outlives the call.
 //!
 //! # Determinism
 //!
@@ -46,10 +49,9 @@
 
 use crate::diagnostics::{rate_trace_diagnostics, ChainDiagnostics};
 use crate::error::InferenceError;
-use crate::gibbs::pool::PoolSet;
 use crate::gibbs::shard::ShardMode;
 use crate::init::WarmTimes;
-use crate::stem::{run_stem_warm_in_pool, StemOptions, StemResult};
+use crate::stem::{run_stem_warm, StemOptions, StemResult};
 use qni_stats::rng::{rng_from_seed, split_seed};
 use qni_trace::MaskedLog;
 
@@ -160,38 +162,32 @@ pub struct ParallelStemResult {
 
 /// Runs `opts.chains` independent StEM chains in parallel and pools them.
 ///
-/// Each chain is a full StEM fit ([`crate::stem::run_stem_warm_in_pool`]
-/// on the chain's own [`crate::gibbs::pool::WavePool`] when the shard
-/// mode fans out) on its own thread (chain 0 on the calling thread, the
-/// rest on scoped threads) with its own derived RNG stream; see the
-/// module docs for the seeding scheme and determinism guarantees. The
-/// pooled `rates` average the chains' post-burn-in means; `diagnostics`
-/// reports per-queue split-R̂ (values ≲ 1.05 indicate the chains agree)
-/// and pooled effective sample size. The first chain error, if any, is
-/// returned in chain order.
+/// Each chain is a full StEM fit ([`crate::stem::run_stem`], with its
+/// own [`crate::gibbs::pool::WavePool`] for the fit's duration when the
+/// shard mode fans out) on its own thread (chain 0 on the calling
+/// thread, the rest on scoped threads) with its own derived RNG stream;
+/// see the module docs for the seeding scheme and determinism
+/// guarantees. The pooled `rates` average the chains' post-burn-in
+/// means; `diagnostics` reports per-queue split-R̂ (values ≲ 1.05
+/// indicate the chains agree) and pooled effective sample size. The
+/// first chain error, if any, is returned in chain order.
 pub fn run_stem_parallel(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     opts: &ParallelStemOptions,
 ) -> Result<ParallelStemResult, InferenceError> {
-    run_stem_parallel_warm_in_pools(masked, initial_rates, None, opts, &mut PoolSet::new())
+    run_stem_parallel_warm(masked, initial_rates, None, opts)
 }
 
 /// [`run_stem_parallel`] with optional warm-start initialization targets
-/// shared by every chain (see [`crate::init::WarmTimes`]), against a
-/// caller-owned [`PoolSet`]. Warm targets only move each chain's
+/// shared by every chain (see [`crate::init::WarmTimes`]), as the
+/// streaming engine passes them. Warm targets only move each chain's
 /// starting point; chain seeds, pooling, and diagnostics are unchanged.
-/// Long-lived callers (the streaming engine, watch sessions) reuse each
-/// chain's persistent [`crate::gibbs::pool::WavePool`] across windows
-/// instead of spawning fresh pool threads per fit. The set is (re)built
-/// lazily for the run's effective chain/shard shape; pool reuse is
-/// byte-neutral (see [`crate::gibbs::pool`]).
-pub fn run_stem_parallel_warm_in_pools(
+pub(crate) fn run_stem_parallel_warm(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     warm: Option<&WarmTimes>,
     opts: &ParallelStemOptions,
-    pools: &mut PoolSet,
 ) -> Result<ParallelStemResult, InferenceError> {
     opts.validate()?;
     let chain_seeds: Vec<u64> = (0..opts.chains)
@@ -203,42 +199,20 @@ pub fn run_stem_parallel_warm_in_pools(
     let mut stem_opts = opts.stem.clone();
     stem_opts.shard = opts.effective_shard();
     let stem_opts = &stem_opts;
-    let slots = pools.ensure(opts.chains, stem_opts.shard);
-    let (leader_slot, rest_slots) = slots.split_at_mut(1);
+    let run_chain = move |seed: u64| {
+        let mut rng = rng_from_seed(seed);
+        run_stem_warm(masked, initial_rates, warm, stem_opts, &mut rng)
+    };
     let results: Vec<Result<StemResult, InferenceError>> = std::thread::scope(|s| {
         let handles: Vec<_> = chain_seeds[1..]
             .iter()
-            .zip(rest_slots.iter_mut())
-            .map(|(&seed, slot)| {
-                s.spawn(move || {
-                    let mut rng = rng_from_seed(seed);
-                    run_stem_warm_in_pool(
-                        masked,
-                        initial_rates,
-                        warm,
-                        stem_opts,
-                        slot.as_mut(),
-                        &mut rng,
-                    )
-                })
-            })
+            .map(|&seed| s.spawn(move || run_chain(seed)))
             .collect();
         // The calling thread works chain 0 itself while the spawned
         // chains run, so `chains` chains never occupy more than
         // `chains × shards` OS threads — the exact quantity
         // `thread_budget` charges for (no parked-caller off-by-one).
-        let leader = {
-            let mut rng = rng_from_seed(chain_seeds[0]);
-            run_stem_warm_in_pool(
-                masked,
-                initial_rates,
-                warm,
-                stem_opts,
-                leader_slot[0].as_mut(),
-                &mut rng,
-            )
-        };
-        std::iter::once(leader)
+        std::iter::once(run_chain(chain_seeds[0]))
             .chain(
                 handles
                     .into_iter()

@@ -2,11 +2,13 @@
 //!
 //! [`crate::gibbs::shard`] fans each sufficiently large red-black wave's
 //! draw-free prepare phase out across worker threads, and this pool is
-//! where those threads come from. A [`WavePool`] spawns its helper
-//! threads **once per chain run** and parks them on channels, so
-//! dispatching a wave is one enqueue per worker plus one rendezvous —
-//! no thread spawn per wave — and the calling thread prepares chunk 0
-//! itself.
+//! where those threads come from. A [`WavePool`] lives for **one fit**:
+//! each chain of a StEM fit whose shard mode fans out spawns its helper
+//! threads when the fit starts, parks them on channels, and joins them
+//! when the fit returns. Dispatching a wave is one enqueue per worker
+//! plus one rendezvous — no thread spawn per wave — and the calling
+//! thread prepares chunk 0 itself. A streaming run builds a fresh pool
+//! per window and chain: `N − 1` spawns beside a fit of many sweeps.
 //!
 //! # Determinism
 //!
@@ -45,7 +47,6 @@ use std::thread::JoinHandle;
 
 use crate::error::InferenceError;
 use crate::gibbs::batch::WaveBufs;
-use crate::gibbs::shard::ShardMode;
 use qni_model::log::EventLog;
 
 /// A chunk's outcome as shipped back over the done channel: the outer
@@ -124,9 +125,9 @@ struct Worker {
     handle: JoinHandle<()>,
 }
 
-/// A persistent pool of wave-prepare threads for one chain.
+/// A persistent pool of wave-prepare threads for one chain's fit.
 ///
-/// Created once per chain run with the chain's shard capacity; every
+/// Created once per fit with the chain's shard capacity; every
 /// sharded wave is then dispatched through the pool at a cost
 /// of one enqueue and one rendezvous per worker instead of a thread
 /// spawn. See the module docs for the determinism and soundness
@@ -267,44 +268,6 @@ impl Drop for WavePool {
             drop(done_rx);
             let _ = handle.join();
         }
-    }
-}
-
-/// A lazily-built set of per-chain [`WavePool`]s, keyed by the engine
-/// configuration that shaped them so long-lived owners (the streaming
-/// engine, watch sessions) can reuse pools across windows and rebuild
-/// them only when the chain count or shard capacity changes.
-#[derive(Debug, Default)]
-pub struct PoolSet {
-    pools: Vec<Option<WavePool>>,
-    /// `(chains, per-chain capacity)` the current pools were built for;
-    /// capacity 0 encodes "pools intentionally absent" (a shard mode that
-    /// never fans out).
-    key: Option<(usize, usize)>,
-}
-
-impl PoolSet {
-    /// An empty set; pools are built on first [`PoolSet::ensure`].
-    pub fn new() -> PoolSet {
-        PoolSet::default()
-    }
-
-    /// Returns one pool slot per chain for the given configuration,
-    /// rebuilding the set only when the shape changed. Slots are `None`
-    /// when `shard` never fans out, so callers can thread the slots
-    /// through unconditionally.
-    pub fn ensure(&mut self, chains: usize, shard: ShardMode) -> &mut [Option<WavePool>] {
-        let per_chain = shard.workers().max(1);
-        let pooled = per_chain > 1;
-        let key = (chains, if pooled { per_chain } else { 0 });
-        if self.key != Some(key) {
-            self.pools.clear();
-            for _ in 0..chains {
-                self.pools.push(pooled.then(|| WavePool::new(per_chain)));
-            }
-            self.key = Some(key);
-        }
-        &mut self.pools
     }
 }
 
@@ -468,26 +431,5 @@ mod tests {
         pool.dispatch(&log, &rates, scratch.wave_bufs(wave), 3)
             .unwrap();
         drop(pool);
-    }
-
-    #[test]
-    fn pool_set_rebuilds_only_when_the_shape_changes() {
-        let mut set = PoolSet::new();
-        let slots = set.ensure(2, ShardMode::Sharded(3));
-        assert_eq!(slots.len(), 2);
-        assert!(slots.iter().all(|s| s.is_some()));
-        assert_eq!(slots[0].as_ref().map(WavePool::capacity), Some(3));
-        // Same shape: slots are reused, not rebuilt.
-        let again = set.ensure(2, ShardMode::Sharded(3));
-        assert!(again.iter().all(|s| s.is_some()));
-        // A non-fanning shard mode yields empty slots.
-        let serial = set.ensure(4, ShardMode::Serial);
-        assert_eq!(serial.len(), 4);
-        assert!(serial.iter().all(|s| s.is_none()));
-        // Back to pooled with a new chain count: rebuilt to match.
-        let rebuilt = set.ensure(3, ShardMode::Sharded(2));
-        assert_eq!(rebuilt.len(), 3);
-        assert!(rebuilt.iter().all(|s| s.is_some()));
-        assert_eq!(rebuilt[0].as_ref().map(WavePool::capacity), Some(2));
     }
 }

@@ -19,8 +19,8 @@
 //!    member whose cached conditional an earlier same-wave move
 //!    invalidated (a π-side coupling caught by the conflict sets).
 //!
-//! Sharding executes phase 1 on up to `N` threads of the chain's
-//! persistent [`crate::gibbs::pool::WavePool`], each owning a contiguous
+//! Sharding executes phase 1 on up to `N` threads of the fit's
+//! [`crate::gibbs::pool::WavePool`], each owning a contiguous
 //! block of the wave (a *queue block*: wave members are stored in
 //! within-queue arrival order, so a chunk is a contiguous run of queue
 //! positions). Phase 2 — every RNG draw, every write, and the serial
@@ -72,7 +72,7 @@
 //! (floor division — see [`ShardMode::workers_for`] for the pinned
 //! policy). Waves that do fan out run on the
 //! [`crate::gibbs::pool::WavePool`] the caller passes, created once per
-//! chain run; without a pool every wave is prepared inline. The pool
+//! fit; without a pool every wave is prepared inline. The pool
 //! splits the wave with `split_leader_rest` and surfaces errors in
 //! leader-then-block order, so the policy affects scheduling only —
 //! never results — and can be tuned freely. NUMA pinning of pool

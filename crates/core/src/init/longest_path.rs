@@ -11,7 +11,9 @@ use qni_trace::MaskedLog;
 ///
 /// 1. Build one node per slot, edges for `arr ≤ dep`, per-queue FIFO
 ///    departure order, and per-queue arrival order; fix observed slots.
-/// 2. Solve for the feasibility box `[min, max]` per slot.
+/// 2. Solve for the feasibility box `[min, max]` per slot. Tied times
+///    can close a cycle of `≤` edges, which forces its slots equal (see
+///    [`qni_lp::diffcon`]).
 /// 3. Walk slots in topological order, setting each free slot to its
 ///    warm-start target if one is set, else `begin_service + 1/rate`
 ///    (when `use_targets`), clamped into `[max(preds), max_v]` — or to
@@ -45,6 +47,13 @@ pub fn initialize(
         }
     }
     for &v in &sol.order {
+        if let Some(leader) = sol.tied_to(v) {
+            // A `≤` cycle of tied times: every member takes the value of
+            // its leader, which the order lists first.
+            value[v] = value[leader];
+            slots.write(&mut log, v, value[v]);
+            continue;
+        }
         if fixed[v] {
             // Observed value survives scrubbing; read it back.
             // (min == max == the observation for fixed slots.)

@@ -314,6 +314,32 @@ mod tests {
         ));
     }
 
+    /// Two tasks entering together, ordered one way by q0's FIFO
+    /// tie-break (task id) and the other by q1's arrival order (earlier
+    /// departure first), close a `≤` cycle between their free entries:
+    /// the init gives both one value.
+    #[test]
+    fn tied_free_entries_take_one_value() {
+        use qni_model::ids::{StateId, TaskId};
+        use qni_model::log::EventLogBuilder;
+        use qni_trace::ObservedMask;
+        let mut b = EventLogBuilder::new(2, StateId(0));
+        b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 2.0)])
+            .unwrap();
+        b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 1.5)])
+            .unwrap();
+        let log = b.build().unwrap();
+        let mut mask = ObservedMask::unobserved(log.num_events());
+        for e in log.event_ids().filter(|&e| log.is_final_event(e)) {
+            mask.observe_departure(e);
+        }
+        let masked = MaskedLog::new(log, mask).unwrap();
+        let init = initialize(&masked, &[1.0, 1.0]).unwrap();
+        let (a, b) = (init.task_entry(TaskId(0)), init.task_entry(TaskId(1)));
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert!(a <= 1.5, "{a}");
+    }
+
     #[test]
     fn warm_targets_are_reproduced_where_feasible() {
         // Initialize once, treat the result as a "previous Gibbs state",

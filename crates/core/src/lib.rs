@@ -74,7 +74,7 @@ pub mod watch;
 pub use chains::{run_stem_parallel, ParallelStemOptions, ParallelStemResult};
 pub use diagnostics::ChainDiagnostics;
 pub use error::InferenceError;
-pub use gibbs::pool::{PoolSet, WavePool};
+pub use gibbs::pool::WavePool;
 pub use gibbs::shard::ShardMode;
 pub use gibbs::sweep::BatchMode;
 pub use state::GibbsState;

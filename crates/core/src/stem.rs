@@ -10,6 +10,11 @@
 //! point estimate µ̂ of the mean service times is available, an estimate
 //! of the waiting time can be obtained by running the Gibbs sampler with
 //! µ̂ fixed".
+//!
+//! A fit is also the lifetime of its wave pool: when
+//! [`StemOptions::shard`] fans out, [`run_stem`] spawns the
+//! [`WavePool`]'s helper threads before the first sweep and joins them
+//! when it returns, so no thread outlives the call.
 
 use crate::error::InferenceError;
 use crate::gibbs::pool::WavePool;
@@ -42,7 +47,7 @@ pub struct StemOptions {
     /// guarantees.
     pub batch: BatchMode,
     /// How each wave's prepare phase is executed: inline (default) or
-    /// sharded across the threads of a per-run
+    /// sharded across the threads of the fit's
     /// [`crate::gibbs::pool::WavePool`]. Pure performance knob — results
     /// are bit-identical at every shard count (see
     /// [`crate::gibbs::shard`]). Requires [`BatchMode::Grouped`].
@@ -135,34 +140,29 @@ pub struct StemResult {
 /// `initial_rates` defaults to [`heuristic_rates`] when `None`. The log's
 /// structural information (paths, per-queue order, observation counts) is
 /// taken from the mask as the paper assumes. When `opts.shard` can fan
-/// out, the run builds one persistent [`WavePool`] up front so every
-/// sharded wave of every sweep reuses the same parked workers.
+/// out, the fit builds one [`WavePool`] up front, so every sharded wave
+/// of every sweep reuses the same parked workers, and drops it when it
+/// returns.
 pub fn run_stem<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     opts: &StemOptions,
     rng: &mut R,
 ) -> Result<StemResult, InferenceError> {
-    let mut pool = (opts.shard.workers() > 1).then(|| WavePool::new(opts.shard.workers()));
-    run_stem_warm_in_pool(masked, initial_rates, None, opts, pool.as_mut(), rng)
+    run_stem_warm(masked, initial_rates, None, opts, rng)
 }
 
 /// [`run_stem`] with optional warm-start initialization targets for the
-/// free times (see [`crate::init::WarmTimes`]), against a caller-owned
-/// [`WavePool`]. Warm targets only shape the chain's *starting point* —
-/// the stationary distribution and every conditional are unchanged — so
-/// they buy faster burn-in on a log that overlaps a previously fitted
-/// one without biasing the estimate. Long-lived callers (the multi-chain
-/// engine, the streaming engine) pass their own pool so one set of
-/// threads serves many fits; `None` prepares every wave inline. Pool
-/// reuse is byte-neutral: two consecutive fits on one pool equal two
-/// fresh runs bit-for-bit (pinned by `crates/core/tests/pool_gibbs.rs`).
-pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
+/// free times (see [`crate::init::WarmTimes`]), which the streaming
+/// engine carries from one window into the next. Warm targets only shape
+/// the chain's *starting point* — the stationary distribution and every
+/// conditional are unchanged — so they buy faster burn-in on a log that
+/// overlaps a previously fitted one without biasing the estimate.
+pub(crate) fn run_stem_warm<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
     warm: Option<&crate::init::WarmTimes>,
     opts: &StemOptions,
-    mut pool: Option<&mut WavePool>,
     rng: &mut R,
 ) -> Result<StemResult, InferenceError> {
     opts.validate()?;
@@ -178,8 +178,10 @@ pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
     // Reused M-step buffer: the only per-iteration allocation left is
     // the recorded trace row itself.
     let mut rates_buf = state.rates().to_vec();
+    let workers = opts.shard.workers();
+    let mut pool = (workers > 1).then(|| WavePool::new(workers));
     for _ in 0..opts.iterations {
-        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_deref_mut(), rng)?;
+        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_mut(), rng)?;
         mstep::update_rates(&mut rates_buf, state.log())?;
         state.set_rates(&rates_buf)?;
         trace.push(rates_buf.clone());
@@ -203,7 +205,7 @@ pub fn run_stem_warm_in_pool<R: Rng + ?Sized>(
     let mut avgs = Vec::new();
     let sweeps = opts.waiting_sweeps.max(1);
     for _ in 0..sweeps {
-        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_deref_mut(), rng)?;
+        sweep_with_opts_pooled(&mut state, opts.batch, opts.shard, pool.as_mut(), rng)?;
         state.log().queue_averages_into(&mut avgs);
         for (i, avg) in avgs.iter().enumerate() {
             if avg.count > 0 {
@@ -232,10 +234,6 @@ pub struct McemOptions {
     pub outer_iterations: usize,
     /// Gibbs sweeps averaged per E-step.
     pub inner_sweeps: usize,
-    /// Initialization strategy.
-    pub init: InitStrategy,
-    /// Arrival-move scheduling (see [`StemOptions::batch`]).
-    pub batch: BatchMode,
 }
 
 impl Default for McemOptions {
@@ -243,15 +241,14 @@ impl Default for McemOptions {
         McemOptions {
             outer_iterations: 40,
             inner_sweeps: 10,
-            init: InitStrategy::default(),
-            batch: BatchMode::default(),
         }
     }
 }
 
 /// Monte-Carlo EM: the E-step averages sufficient statistics over
 /// `inner_sweeps` Gibbs sweeps (Wei & Tanner's MCEM, which the paper cites
-/// as the slower alternative motivating StEM).
+/// as the slower alternative motivating StEM). It starts from the default
+/// [`InitStrategy`] and sweeps with the default grouped arrival moves.
 pub fn run_mcem<R: Rng + ?Sized>(
     masked: &MaskedLog,
     initial_rates: Option<&[f64]>,
@@ -267,14 +264,14 @@ pub fn run_mcem<R: Rng + ?Sized>(
         Some(r) => r.to_vec(),
         None => heuristic_rates(masked),
     };
-    let mut state = GibbsState::new(masked, rates0, opts.init)?;
+    let mut state = GibbsState::new(masked, rates0, InitStrategy::default())?;
     let q = state.log().num_queues();
     let mut trace = Vec::with_capacity(opts.outer_iterations);
     let mut rates_buf = state.rates().to_vec();
     for _ in 0..opts.outer_iterations {
         let mut acc = vec![(0.0f64, 0.0f64); q];
         for _ in 0..opts.inner_sweeps {
-            sweep_with_opts_pooled(&mut state, opts.batch, ShardMode::Serial, None, rng)?;
+            sweep_with_opts_pooled(&mut state, BatchMode::Grouped, ShardMode::Serial, None, rng)?;
             for (i, (n, sum)) in state
                 .log()
                 .service_sufficient_stats()
@@ -301,7 +298,7 @@ pub fn run_mcem<R: Rng + ?Sized>(
     let mut avgs = Vec::new();
     let sweeps_n = opts.inner_sweeps;
     for _ in 0..sweeps_n {
-        sweep_with_opts_pooled(&mut state, opts.batch, ShardMode::Serial, None, rng)?;
+        sweep_with_opts_pooled(&mut state, BatchMode::Grouped, ShardMode::Serial, None, rng)?;
         state.log().queue_averages_into(&mut avgs);
         for (i, avg) in avgs.iter().enumerate() {
             if avg.count > 0 {
@@ -480,7 +477,6 @@ mod tests {
         let opts = McemOptions {
             outer_iterations: 25,
             inner_sweeps: 5,
-            ..McemOptions::default()
         };
         let r = run_mcem(&m, None, &opts, &mut rng).unwrap();
         assert!((r.rates[0] - 2.0).abs() < 0.4, "λ̂={}", r.rates[0]);

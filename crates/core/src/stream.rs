@@ -67,6 +67,11 @@
 //! deterministic bit content (everything except wall-clock times) for
 //! byte-identity tests.
 //!
+//! Each window is its own fit, so at `ShardMode::Sharded(n)` every
+//! window's chains build their wave pools and drop them when the fit
+//! returns: `n − 1` thread spawns per window and chain, beside a fit of
+//! many sweeps. The engine holds no threads between windows.
+//!
 //! # Examples
 //!
 //! ```
@@ -90,9 +95,8 @@
 //! assert!(traj.windows[0].rates[0] > 0.0);
 //! ```
 
-use crate::chains::{run_stem_parallel_warm_in_pools, ParallelStemOptions};
+use crate::chains::{run_stem_parallel_warm, ParallelStemOptions};
 use crate::error::InferenceError;
-use crate::gibbs::pool::PoolSet;
 use crate::init::WarmTimes;
 use crate::stem::StemOptions;
 use qni_model::ids::TaskId;
@@ -327,14 +331,7 @@ impl RateTrajectory {
     /// `qni stream` emit so byte-identity across the two ingestion paths
     /// can be asserted by comparing stdout.
     pub fn fingerprint_digest(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in self.fingerprint() {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv1a(self.fingerprint()))
     }
 
     /// Writes the trajectory as CSV: one row per window with the span,
@@ -381,6 +378,18 @@ impl RateTrajectory {
         }
         Ok(())
     }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Builds the next window's warm-start targets from the previous
@@ -453,11 +462,6 @@ pub struct StreamEngine {
     num_queues: usize,
     prev: Option<PrevWindow>,
     windows: Vec<WindowEstimate>,
-    /// Per-chain persistent wave-prepare pools, reused across every
-    /// pushed window (built lazily on the first fit that shards).
-    /// Runtime-only scheduling state: never checkpointed, rebuilt on
-    /// resume, and byte-neutral to results (see [`crate::gibbs::pool`]).
-    pools: PoolSet,
 }
 
 impl StreamEngine {
@@ -480,7 +484,6 @@ impl StreamEngine {
             num_queues,
             prev: None,
             windows: Vec::new(),
-            pools: PoolSet::new(),
         })
     }
 
@@ -552,13 +555,7 @@ impl StreamEngine {
             _ => (None, None),
         };
         let popts = self.opts.window_options(window.index, warm.is_some());
-        let mut r = run_stem_parallel_warm_in_pools(
-            window.masked(),
-            initial_rates,
-            warm.as_ref(),
-            &popts,
-            &mut self.pools,
-        )?;
+        let mut r = run_stem_parallel_warm(window.masked(), initial_rates, warm.as_ref(), &popts)?;
         let free =
             window.masked().free_arrivals().len() + window.masked().free_final_departures().len();
         // Each carry task adds one synthetic q0 event with a zero
@@ -1067,24 +1064,67 @@ mod tests {
         warm
     }
 
+    /// A tandem with service rates `mus` under the λ 2 → 5 step at t = 30
+    /// of 60, observed by `scheme`.
+    fn piecewise_tandem(mus: &[f64], scheme: &ObservationScheme, seed: u64) -> MaskedLog {
+        let bp = tandem(2.0, mus).unwrap();
+        let mut rng = rng_from_seed(seed);
+        let workload = Workload::piecewise_constant(vec![2.0, 5.0], vec![30.0], 60.0).unwrap();
+        let truth = Simulator::new(&bp.network)
+            .run(&workload, &mut rng)
+            .unwrap();
+        scheme.apply(truth, &mut rng).unwrap()
+    }
+
+    /// Seeds 31 and 34 each have a window in which a real task's
+    /// unobserved entry sits at the origin beside a carry task's: q0
+    /// orders the tie one way and the next queue the other, which closes
+    /// a `≤` cycle in the init's constraint graph.
+    #[test]
+    fn carry_windows_with_tied_entries_initialize() {
+        let events = ObservationScheme::event_sampling(0.3).unwrap();
+        let schedule = WindowSchedule::new(20.0, 5.0).unwrap();
+        for seed in [31u64, 34] {
+            let masked = piecewise_tandem(&[10.0, 12.0], &events, seed);
+            let traj = run_stream(&masked, &schedule, &StreamOptions::quick_test())
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert!(traj.windows.iter().any(|w| w.carry_tasks > 0));
+        }
+    }
+
+    /// Event-sampled two- and three-stage tandems stream with occupancy
+    /// carry on every seed: tied times collapse into equalities, and a
+    /// carry task never outlasts a time observed later in the task of
+    /// an event queued behind it (three-stage seed 13).
+    #[test]
+    fn event_sampled_carry_streams_initialize_across_seeds() {
+        let events = ObservationScheme::event_sampling(0.3).unwrap();
+        let schedule = WindowSchedule::new(20.0, 5.0).unwrap();
+        for mus in [&[10.0, 12.0][..], &[10.0, 12.0, 9.0]] {
+            for seed in 1..=13u64 {
+                let masked = piecewise_tandem(mus, &events, seed);
+                if let Err(e) = run_stream(&masked, &schedule, &StreamOptions::quick_test()) {
+                    panic!("µ {mus:?}, seed {seed}: {e}");
+                }
+            }
+        }
+    }
+
     /// Pairing a shared task's events by position gives the warm-start
     /// targets of a per-event search through the original log's event
-    /// ids, bit for bit, on seeded two-stage traces whose windows carry
-    /// occupancy.
+    /// ids, bit for bit, on seeded task- and event-sampled two-stage
+    /// traces whose windows carry occupancy.
     #[test]
     fn warm_targets_by_task_match_an_event_id_oracle() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for seed in [31u64, 32, 33] {
-            let bp = tandem(2.0, &[10.0, 12.0]).unwrap();
-            let mut rng = rng_from_seed(seed);
-            let workload = Workload::piecewise_constant(vec![2.0, 5.0], vec![30.0], 60.0).unwrap();
-            let truth = Simulator::new(&bp.network)
-                .run(&workload, &mut rng)
-                .unwrap();
-            let masked = ObservationScheme::task_sampling(0.5)
-                .unwrap()
-                .apply(truth, &mut rng)
-                .unwrap();
+        let tasks = ObservationScheme::task_sampling(0.5).unwrap();
+        let events = ObservationScheme::event_sampling(0.3).unwrap();
+        for (scheme, seed) in [31u64, 32, 33]
+            .map(|seed| (&tasks, seed))
+            .into_iter()
+            .chain([31u64, 32, 33].map(|seed| (&events, seed)))
+        {
+            let masked = piecewise_tandem(&[10.0, 12.0], scheme, seed);
             let schedule = WindowSchedule::new(20.0, 5.0).unwrap();
             let mut engine = StreamEngine::new(schedule, 3, StreamOptions::quick_test()).unwrap();
             let (mut carry_tasks, mut targets) = (0, 0);

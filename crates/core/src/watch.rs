@@ -360,14 +360,7 @@ pub fn options_fingerprint(
         opts.warm_burn_in.unwrap_or(0) as u64,
         u64::from(opts.occupancy_carry),
     ];
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    crate::stream::fnv1a(words)
 }
 
 impl WatchSession {
@@ -703,6 +696,58 @@ mod tests {
         let steps = run_watch(&mut session, &stop, None, || (), |_, _| ()).unwrap();
         assert_eq!(steps, 0);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A tail that stops right after a task's q0 line ends inside that
+    /// task: `finish` names it with a typed error, and the checkpoint
+    /// written before `finish` resumes, once the rest of the file
+    /// arrives, onto the replay's trajectory.
+    #[test]
+    fn finish_inside_a_task_is_typed_and_its_checkpoint_resumes() {
+        let masked = piecewise_masked(25);
+        let schedule = WindowSchedule::new(20.0, 10.0).unwrap();
+        let opts = StreamOptions::quick_test();
+        let replay = run_stream(&masked, &schedule, &opts).unwrap();
+        let nq = masked.ground_truth().num_queues();
+        let mut bytes = Vec::new();
+        write_jsonl(&masked, &mut bytes).unwrap();
+        // Cut just after the first q0 line in the second half.
+        let (mut cut, mut task) = (0, None);
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let rec = qni_trace::record::parse_record(line.trim_ascii_end()).unwrap();
+            cut += line.len();
+            if cut > bytes.len() / 2 && rec.event.is_initial() {
+                task = Some(rec.event.task);
+                break;
+            }
+        }
+        let task = task.unwrap();
+        let path = tmp_path("inside");
+        let cp_path = tmp_path("inside-cp");
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let mut session = WatchSession::new(&path, schedule, nq, opts.clone()).unwrap();
+        session.step().unwrap();
+        session.checkpoint().save_atomic(&cp_path).unwrap();
+        match session.finish() {
+            Err(InferenceError::Trace(TraceError::EndsInsideTask { task: t })) => {
+                assert_eq!(t, task);
+            }
+            other => panic!("expected EndsInsideTask({task}), got {other:?}"),
+        }
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(&bytes[cut..]).unwrap();
+        f.flush().unwrap();
+        let cp = Checkpoint::load(&cp_path).unwrap();
+        let mut resumed =
+            WatchSession::resume(&path, schedule, nq, opts, TailOptions::default(), &cp).unwrap();
+        resumed.step().unwrap();
+        let live = resumed.finish().unwrap();
+        assert_eq!(live.fingerprint_digest(), replay.fingerprint_digest());
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&cp_path).unwrap();
     }
 
     /// The tentpole resume pin at the library level: checkpoint the

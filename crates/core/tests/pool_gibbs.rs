@@ -3,16 +3,14 @@
 //! The contract (see `qni_core::gibbs::pool`): the pool is a pure
 //! scheduling vehicle. Pooled dispatch at every pool size must be
 //! **byte-identical** to the serial batched sweep — same logs, same
-//! estimates, same RNG consumption, same deferred counts — and pool
-//! *reuse* must be byte-neutral: two consecutive fits on one pool equal
-//! two fresh runs. These tests pin that contract at raw-sweep level
-//! (waves large enough to actually dispatch), at `run_stem` level
-//! across pool sizes, and across fit failures.
+//! estimates, same RNG consumption, same deferred counts. These tests pin
+//! that contract at raw-sweep level (waves large enough to actually
+//! dispatch) and at `run_stem` level across pool sizes.
 
 use qni_core::gibbs::shard::MIN_EVENTS_PER_WORKER;
 use qni_core::gibbs::sweep::{sweep_with_opts_pooled, SweepStats};
 use qni_core::init::InitStrategy;
-use qni_core::stem::{run_stem, run_stem_warm_in_pool, StemOptions};
+use qni_core::stem::{run_stem, StemOptions};
 use qni_core::{BatchMode, GibbsState, ShardMode, WavePool};
 use qni_model::topology::{tandem, Blueprint};
 use qni_sim::{Simulator, Workload};
@@ -177,50 +175,6 @@ fn run_stem_seed7_is_byte_identical_across_dispatch_and_pool_sizes() {
                 y.to_bits(),
                 "estimate diverged at shards={shards}"
             );
-        }
-    }
-}
-
-/// Two consecutive `run_stem_warm_in_pool` fits on one caller-owned
-/// pool equal two fresh `run_stem` runs bit-for-bit, and a fit that
-/// errors leaves the pool fully usable (no deadlock, no wedged
-/// workers).
-#[test]
-fn fits_on_a_shared_pool_match_fresh_runs_even_after_an_error() {
-    let masked = masked(1, 60, 0.25, 3);
-    let opts = StemOptions {
-        shard: ShardMode::Sharded(2),
-        ..StemOptions::quick_test()
-    };
-    let fresh = |seed: u64| {
-        let mut rng = rng_from_seed(seed);
-        run_stem(&masked, None, &opts, &mut rng).expect("fresh run")
-    };
-    let mut pool = WavePool::new(2);
-    let pooled = |pool: &mut WavePool, seed: u64| {
-        let mut rng = rng_from_seed(seed);
-        run_stem_warm_in_pool(&masked, None, None, &opts, Some(pool), &mut rng).expect("pooled run")
-    };
-    let a = pooled(&mut pool, 7);
-    // A failing fit in between: validation rejects the empty kept
-    // window, and the pool must shrug it off.
-    let bad = StemOptions {
-        iterations: 4,
-        burn_in: 9,
-        ..opts.clone()
-    };
-    let mut rng = rng_from_seed(1);
-    assert!(run_stem_warm_in_pool(&masked, None, None, &bad, Some(&mut pool), &mut rng).is_err());
-    let b = pooled(&mut pool, 8);
-    for (x, y) in [(&a, &fresh(7)), (&b, &fresh(8))] {
-        assert_eq!(x.rate_trace.len(), y.rate_trace.len());
-        for (ra, rb) in x.rate_trace.iter().zip(&y.rate_trace) {
-            for (va, vb) in ra.iter().zip(rb) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "shared-pool fit diverged");
-            }
-        }
-        for (va, vb) in x.rates.iter().zip(&y.rates) {
-            assert_eq!(va.to_bits(), vb.to_bits(), "shared-pool estimate diverged");
         }
     }
 }

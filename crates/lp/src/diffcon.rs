@@ -2,13 +2,19 @@
 //!
 //! The sampler-initialization constraints (`a_e = d_{π(e)}` collapsed,
 //! queue-order inequalities, non-negative services) form a system of pure
-//! precedence constraints `x_u ≤ x_v` over an acyclic graph, with some
-//! variables fixed by observations. The *minimal* feasible completion is
-//! the longest path from below (each variable as small as its
-//! predecessors allow), the *maximal* one the symmetric pass from above;
-//! any value between the two bounds is feasible for that variable given
-//! the others are at their bounds' side. `qni-core` uses the pair as a
-//! feasibility box for initialization.
+//! precedence constraints `x_u ≤ x_v`, with some variables fixed by
+//! observations. The *minimal* feasible completion is the longest path
+//! from below (each variable as small as its predecessors allow), the
+//! *maximal* one the symmetric pass from above; any value between the two
+//! bounds is feasible for that variable given the others are at their
+//! bounds' side. `qni-core` uses the pair as a feasibility box for
+//! initialization.
+//!
+//! The graph is acyclic unless times tie: two tasks that reach a queue
+//! at the same instant can be ordered one way by one queue's FIFO edge
+//! and the other way by the next queue's arrival order. A cycle of `≤`
+//! forces its members equal, so [`DiffSystem::solve`] collapses each one
+//! into a single variable (see [`DiffSolution::tied_to`]).
 
 use crate::error::LpError;
 
@@ -45,11 +51,26 @@ pub struct DiffSolution {
     /// Largest feasible value per variable (`+inf` when unbounded).
     pub max: Vec<f64>,
     /// The topological order the passes walked (see
-    /// [`DiffSystem::topo_order`]).
+    /// [`DiffSystem::topo_order`]). On a cyclic graph, the order of the
+    /// collapsed cycles, each cycle's members listed together, leader
+    /// first.
     pub order: Vec<usize>,
     /// Each variable's predecessors `u` (edges `x_u ≤ x_v`), in edge
-    /// insertion order.
+    /// insertion order. On a cyclic graph, a cycle's leader has the
+    /// leaders of the cycles with an edge into it, and every other
+    /// member has its leader alone.
     pub preds: Adjacency,
+    /// Each variable's cycle leader (empty when the graph is acyclic).
+    leaders: Vec<usize>,
+}
+
+impl DiffSolution {
+    /// The leader of `v`'s `≤` cycle, whose value `v` must share, when
+    /// `v` is on a cycle and is not its leader. A leader is its cycle's
+    /// first fixed member, or its first member when none is fixed.
+    pub fn tied_to(&self, v: usize) -> Option<usize> {
+        self.leaders.get(v).copied().filter(|&l| l != v)
+    }
 }
 
 /// Per-vertex neighbour lists of a graph on `0..n`, stored flat: the
@@ -160,12 +181,18 @@ impl DiffSystem {
 
     /// Solves for the minimal and maximal feasible completions.
     ///
-    /// Errors with [`LpError::CyclicConstraints`] if the precedence graph
-    /// has a cycle and [`LpError::Infeasible`] if bounds/fixed values
-    /// conflict.
+    /// A cycle of `≤` is an equality: when Kahn's algorithm cannot order
+    /// the graph, each strongly connected component becomes one variable
+    /// whose bounds are its members' bounds intersected, and which is
+    /// fixed when a member is. The collapsed system is solved instead,
+    /// and every member takes its component's `min` and `max`. Errors
+    /// with [`LpError::Infeasible`] if bounds/fixed values conflict,
+    /// including two fixed members of one cycle more than `1e-9` apart.
     pub fn solve(&self) -> Result<DiffSolution, LpError> {
         let (succs, preds) = self.adjacency();
-        let order = kahn(&succs, &preds)?;
+        let Ok(order) = kahn(&succs, &preds) else {
+            return self.solve_collapsed(&succs, &preds);
+        };
         // Effective bounds: fixed values collapse the box.
         let mut lo = self.lower.clone();
         let mut hi = self.upper.clone();
@@ -223,6 +250,63 @@ impl DiffSystem {
             max,
             order,
             preds,
+            leaders: Vec::new(),
+        })
+    }
+
+    /// [`DiffSystem::solve`] on a cyclic graph: solves the system with
+    /// every strongly connected component collapsed to one variable,
+    /// then maps the solution back onto the members.
+    fn solve_collapsed(
+        &self,
+        succs: &Adjacency,
+        preds: &Adjacency,
+    ) -> Result<DiffSolution, LpError> {
+        let (comp, count) = components(succs, preds);
+        let mut leader = vec![usize::MAX; count];
+        for (v, &c) in comp.iter().enumerate() {
+            let l = &mut leader[c];
+            if *l == usize::MAX || (self.fixed[v].is_some() && self.fixed[*l].is_none()) {
+                *l = v;
+            }
+        }
+        let mut sys = DiffSystem::new(count);
+        for (v, &c) in comp.iter().enumerate() {
+            sys.lower[c] = sys.lower[c].max(self.lower[v]);
+            sys.upper[c] = sys.upper[c].min(self.upper[v]);
+            sys.fixed[c] = self.fixed[leader[c]];
+            if let (Some(f), Some(g)) = (self.fixed[v], sys.fixed[c]) {
+                if (f - g).abs() > 1e-9 {
+                    return Err(LpError::Infeasible);
+                }
+            }
+        }
+        sys.edges = (self.edges.iter())
+            .map(|&(u, v)| (comp[u], comp[v]))
+            .filter(|(a, b)| a != b)
+            .collect();
+        let sol = sys.solve()?;
+        let members = Adjacency::group(count, comp.iter().enumerate().map(|(v, &c)| (c, v)));
+        let mut order = Vec::with_capacity(self.n);
+        for &c in &sol.order {
+            order.push(leader[c]);
+            order.extend(members.of(c).iter().filter(|&&v| v != leader[c]));
+        }
+        let mut pairs = Vec::new();
+        for (v, &c) in comp.iter().enumerate() {
+            let l = leader[c];
+            if v == l {
+                pairs.extend(sol.preds.of(c).iter().map(|&p| (v, leader[p])));
+            } else {
+                pairs.push((v, l));
+            }
+        }
+        Ok(DiffSolution {
+            min: comp.iter().map(|&c| sol.min[c]).collect(),
+            max: comp.iter().map(|&c| sol.max[c]).collect(),
+            order,
+            preds: Adjacency::group(self.n, pairs.iter().copied()),
+            leaders: comp.iter().map(|&c| leader[c]).collect(),
         })
     }
 
@@ -267,6 +351,60 @@ fn kahn(succs: &Adjacency, preds: &Adjacency) -> Result<Vec<usize>, LpError> {
         return Err(LpError::CyclicConstraints);
     }
     Ok(order)
+}
+
+/// The strongly connected components (Kosaraju): each vertex's
+/// component index, and the component count.
+fn components(succs: &Adjacency, preds: &Adjacency) -> (Vec<usize>, usize) {
+    let n = succs.offsets.len() - 1;
+    // Pass 1: every vertex in increasing depth-first finish time.
+    let mut finished = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let v = top.0;
+            match succs.of(v).get(top.1) {
+                Some(&s) => {
+                    top.1 += 1;
+                    if !seen[s] {
+                        seen[s] = true;
+                        stack.push((s, 0));
+                    }
+                }
+                None => {
+                    finished.push(v);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    // Pass 2: what reaches each root backwards, latest finisher first.
+    let mut comp = vec![usize::MAX; n];
+    let mut count = 0;
+    let mut todo = Vec::new();
+    for &root in finished.iter().rev() {
+        if comp[root] != usize::MAX {
+            continue;
+        }
+        comp[root] = count;
+        todo.push(root);
+        while let Some(v) = todo.pop() {
+            for &u in preds.of(v) {
+                if comp[u] == usize::MAX {
+                    comp[u] = count;
+                    todo.push(u);
+                }
+            }
+        }
+        count += 1;
+    }
+    (comp, count)
 }
 
 #[cfg(test)]
@@ -330,7 +468,38 @@ mod tests {
         let mut sys = DiffSystem::new(2);
         sys.le(0, 1).unwrap();
         sys.le(1, 0).unwrap();
-        assert_eq!(sys.solve(), Err(LpError::CyclicConstraints));
+        assert_eq!(sys.topo_order(), Err(LpError::CyclicConstraints));
+        // `solve` reads the cycle as `x_0 = x_1`.
+        let sol = sys.solve().unwrap();
+        assert_eq!(sol.min, vec![0.0, 0.0]);
+        assert_eq!(sol.max, vec![f64::INFINITY; 2]);
+        assert_eq!((sol.tied_to(0), sol.tied_to(1)), (None, Some(0)));
+    }
+
+    #[test]
+    fn a_cycle_is_an_equality_led_by_its_fixed_member() {
+        // 0 → {1 ⇄ 2} → 3, with 2 fixed at 1.5, 3 bounded by 4 and 0 by 1
+        // from below: the cycle pins 1 to 1.5 and bounds 3 from below.
+        let mut sys = DiffSystem::new(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 1), (2, 3)] {
+            sys.le(u, v).unwrap();
+        }
+        sys.fix(2, 1.5).unwrap();
+        sys.set_lower(0, 1.0).unwrap();
+        sys.set_upper(3, 4.0).unwrap();
+        let sol = sys.solve().unwrap();
+        assert_eq!(sol.min, vec![1.0, 1.5, 1.5, 1.5]);
+        assert_eq!(sol.max, vec![1.5, 1.5, 1.5, 4.0]);
+        assert_eq!(sol.order, vec![0, 2, 1, 3]);
+        assert_eq!(sol.tied_to(1), Some(2));
+        assert!([0, 2, 3].iter().all(|&v| sol.tied_to(v).is_none()));
+        // The leader holds the cycle's outside predecessors.
+        assert_eq!((sol.preds.of(2), sol.preds.of(1)), (&[0][..], &[2][..]));
+        // Fixed members of one cycle must agree.
+        sys.fix(1, 2.0).unwrap();
+        assert_eq!(sys.solve(), Err(LpError::Infeasible));
+        sys.fix(1, 1.5).unwrap();
+        assert!(sys.solve().is_ok());
     }
 
     #[test]
@@ -458,8 +627,10 @@ mod tests {
 
     proptest::proptest! {
         /// `solve` agrees bit for bit with naive relaxation on random
-        /// DAGs, walks a valid topological order, and still reports a
-        /// cycle once one edge is reversed.
+        /// DAGs and walks a valid topological order. Once one edge is
+        /// reversed, `topo_order` reports the cycle and `solve` still
+        /// agrees with the relaxation, whose least and greatest
+        /// completions hold every cycle's members equal.
         #[test]
         fn solve_matches_naive_relaxation(seed in 0u64..u64::MAX) {
             let mut rng = proptest::TestRng::new(seed);
@@ -491,8 +662,20 @@ mod tests {
             if let Some(&(u, v)) = sys.edges().first() {
                 let mut cyclic = sys.clone();
                 cyclic.le(v, u).unwrap();
-                proptest::prop_assert_eq!(cyclic.solve(), Err(LpError::CyclicConstraints));
                 proptest::prop_assert_eq!(cyclic.topo_order(), Err(LpError::CyclicConstraints));
+                let relaxed =
+                    relax(&cyclic.edges, &cyclic.lower, &cyclic.upper, &cyclic.fixed);
+                match (cyclic.solve(), relaxed) {
+                    (Ok(sol), Some((min, max))) => {
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        proptest::prop_assert_eq!(bits(&sol.min), bits(&min));
+                        proptest::prop_assert_eq!(bits(&sol.max), bits(&max));
+                        let lead = |x: usize| sol.tied_to(x).unwrap_or(x);
+                        proptest::prop_assert_eq!(lead(u), lead(v), "the cycle's ends are tied");
+                    }
+                    (Err(LpError::Infeasible), None) => {}
+                    (got, want) => proptest::prop_assert!(false, "cyclic solve {got:?}, relaxation {want:?}"),
+                }
             }
         }
     }

@@ -57,6 +57,12 @@ pub enum TraceError {
         /// What was out of order.
         what: &'static str,
     },
+    /// A live trace ended while a task was in progress: its `q0` record
+    /// arrived, but none of its queue visits had yet.
+    EndsInsideTask {
+        /// The unfinished task.
+        task: TaskId,
+    },
     /// A trace line failed UTF-8 validation or JSON parsing, located
     /// precisely in its source so quarantine reports and hard failures
     /// name the exact offending input.
@@ -125,6 +131,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::OutOfOrder { what } => {
                 write!(f, "live trace violates append order: {what}")
+            }
+            TraceError::EndsInsideTask { task } => {
+                write!(
+                    f,
+                    "the trace ends inside task {task}: its q0 record has no queue visit yet"
+                )
             }
             TraceError::BadLine {
                 path,

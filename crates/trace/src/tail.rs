@@ -6,10 +6,8 @@
 //! them into complete lines, and parses each line into a
 //! [`TraceRecord`]. A partial trailing line (the writer is mid-append)
 //! is buffered and completed by a later poll, so records are never torn.
-//! The reader resumes from an explicit byte offset
-//! ([`TailReader::resume`]) and detects truncation/rotation — the file
-//! shrinking below the resume offset — as a hard
-//! [`TraceError::Truncated`] by default.
+//! The reader detects truncation/rotation — the file shrinking below
+//! its offset — as a hard [`TraceError::Truncated`] by default.
 //!
 //! [`TailOptions`] opts into production-hardening behavior, all off by
 //! default:
@@ -196,19 +194,20 @@ pub enum RotationPolicy {
 /// or a recorder.
 pub type SleepFn = fn(u64);
 
+/// Backoff before the first retry, in milliseconds.
+const BACKOFF_BASE_MS: u64 = 10;
+/// Backoff cap, in milliseconds.
+const BACKOFF_MAX_MS: u64 = 1000;
+
 /// Bounded deterministic retry for transient I/O errors: attempt `n`
-/// (1-based) sleeps `base_ms * 2^(n-1)` capped at `max_ms` before
-/// retrying, up to `max_attempts` total attempts. The delay sequence is
-/// a pure function of the policy — no clock, no jitter — so retries
-/// never perturb the byte-identity contract.
+/// (1-based) sleeps `10 ms × 2^(n-1)`, capped at 1 s, before retrying,
+/// up to `max_attempts` total attempts. The delay sequence is a pure
+/// function of the policy — no clock, no jitter — so retries never
+/// perturb the byte-identity contract.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total attempts per operation (1 = no retry, the default).
     pub max_attempts: u32,
-    /// Backoff base in milliseconds.
-    pub base_ms: u64,
-    /// Backoff cap in milliseconds.
-    pub max_ms: u64,
     /// Injected sleeper; `None` retries immediately.
     pub sleep: Option<SleepFn>,
 }
@@ -217,8 +216,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            base_ms: 10,
-            max_ms: 1000,
             sleep: None,
         }
     }
@@ -329,7 +326,7 @@ fn with_retry<T>(
     mut op: impl FnMut(&mut dyn TailSource) -> std::io::Result<T>,
 ) -> Result<T, TraceError> {
     let attempts = retry.max_attempts.max(1);
-    let mut delay = retry.base_ms;
+    let mut delay = BACKOFF_BASE_MS;
     let mut attempt = 1u32;
     loop {
         match op(source) {
@@ -345,7 +342,7 @@ fn with_retry<T>(
                 attempt += 1;
                 stats.retries += 1;
                 if let Some(sleep) = retry.sleep {
-                    sleep(delay.min(retry.max_ms));
+                    sleep(delay.min(BACKOFF_MAX_MS));
                 }
                 delay = delay.saturating_mul(2);
             }
@@ -369,18 +366,7 @@ impl TailReader {
     /// Tails `path` from the beginning. The file does not need to exist
     /// yet: polls before it appears simply return no records.
     pub fn new<P: AsRef<Path>>(path: P) -> Self {
-        TailReader::resume(path, 0)
-    }
-
-    /// Tails `path` from a byte offset previously returned by
-    /// [`TailReader::offset`] — everything before it is treated as
-    /// already consumed. The offset must sit on a line boundary (as
-    /// [`TailReader::offset`] guarantees whenever no partial line is
-    /// pending).
-    pub fn resume<P: AsRef<Path>>(path: P, offset: u64) -> Self {
-        let mut tail = TailReader::with_options(path, TailOptions::default());
-        tail.offset = offset;
-        tail
+        TailReader::with_options(path, TailOptions::default())
     }
 
     /// Tails `path` from the beginning under explicit hardening options.
@@ -690,9 +676,9 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut tail = TailReader::new(&path);
         let all = tail.poll().unwrap();
-        let checkpoint = tail.offset();
-        // A new reader resumed at the final offset sees nothing new...
-        let mut resumed = TailReader::resume(&path, checkpoint);
+        let checkpoint = tail.snapshot();
+        // A new reader restored at the final offset sees nothing new...
+        let mut resumed = TailReader::restore(&path, &checkpoint, TailOptions::default());
         assert!(resumed.poll().unwrap().is_empty());
         // ...until more is appended.
         let more = jsonl_bytes(10, 4);

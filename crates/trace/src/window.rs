@@ -72,7 +72,7 @@
 use crate::error::TraceError;
 use crate::mask::{MaskedLog, ObservedMask};
 use crate::record::TraceRecord;
-use qni_model::ids::{QueueId, StateId, TaskId};
+use qni_model::ids::{EventId, QueueId, StateId, TaskId};
 use qni_model::log::{LogInputs, TaskInputs};
 use serde::{Deserialize, Serialize};
 
@@ -288,11 +288,12 @@ impl WindowedLog {
     /// For every service queue whose carried busy time extends past the
     /// window start *and* which has at least one real event in the
     /// window, one carry task is appended: it enters at the window origin
-    /// and occupies the queue until the residual busy time, clamped to
-    /// the queue's earliest pinned departure so pinned observations stay
-    /// feasible. Queues without in-window events need no floor and get no
-    /// carry task. Windows that gain no carry task are returned
-    /// unchanged.
+    /// and occupies the queue until the residual busy time, clamped so
+    /// observations stay feasible: to the queue's earliest pinned
+    /// departure, and to the next time observed in the task of any event
+    /// that arrives after the origin (it queues behind the carry task).
+    /// Queues without in-window events need no floor and get no carry
+    /// task. Windows that gain no carry task are returned unchanged.
     pub fn with_occupancy(&self, carry: &OccupancyCarry) -> Result<WindowedLog, TraceError> {
         let log = self.masked.ground_truth();
         let mut ghosts: Vec<(StateId, QueueId, f64)> = Vec::new();
@@ -311,10 +312,17 @@ impl WindowedLog {
                 continue;
             };
             // Feasibility clamp: a pinned departure before the carried
-            // busy time would violate FIFO behind the carry task.
+            // busy time would violate FIFO behind the carry task. An
+            // event arriving after the origin queues behind it, so it
+            // cannot leave later than its task's next observed time.
             for &e in at_queue {
-                if self.masked.departure_pinned(e) {
-                    residual = residual.min(log.departure(e));
+                let bound = if log.arrival(e) > 0.0 {
+                    self.next_observed(e)
+                } else {
+                    self.masked.departure_pinned(e).then(|| log.departure(e))
+                };
+                if let Some(t) = bound {
+                    residual = residual.min(t);
                 }
             }
             if residual > 0.0 {
@@ -337,6 +345,20 @@ impl WindowedLog {
         }
         inputs.carry_tasks += ghosts.len();
         inputs.build()
+    }
+
+    /// The earliest observed time at or after `e`'s departure in its
+    /// task: a bound on that departure.
+    fn next_observed(&self, e: EventId) -> Option<f64> {
+        let (log, mask) = (self.masked.ground_truth(), self.masked.mask());
+        let mut cur = e;
+        loop {
+            match log.pi_inv(cur) {
+                Some(next) if mask.arrival_observed(next) => return Some(log.arrival(next)),
+                Some(next) => cur = next,
+                None => return mask.departure_observed(cur).then(|| log.departure(cur)),
+            }
+        }
     }
 }
 
@@ -704,9 +726,16 @@ impl LiveSlicer {
     /// Flushes the stream's end: completes the in-progress task and emits
     /// every remaining window up to the horizon (the maximum observed
     /// entry), exactly matching [`slice_windows`] on the full record
-    /// list. Errors if the stream carried no task at all. The slicer is
-    /// left empty; further pushes start a fresh trace.
+    /// list. Errors if the stream carried no task at all, and with
+    /// [`TraceError::EndsInsideTask`] if it stops after a task's q0
+    /// record and before any of its visits. The slicer is left empty;
+    /// further pushes start a fresh trace.
     pub fn finish(&mut self) -> Result<Vec<WindowedLog>, TraceError> {
+        if let [q0] = self.pending[..] {
+            return Err(TraceError::EndsInsideTask {
+                task: q0.event.task,
+            });
+        }
         self.complete_pending()?;
         if !self.started {
             return Err(TraceError::BadSchedule {
@@ -1253,11 +1282,61 @@ mod tests {
         // Finishing an empty stream is an error (mirrors slice_windows).
         let mut s = LiveSlicer::new(schedule, 2).unwrap();
         assert!(s.finish().is_err());
+        // A stream that stops after a q0 record ends inside that task,
+        // which is not an order violation.
+        let mut s = LiveSlicer::new(schedule, 2).unwrap();
+        s.push(rec(0, 0, 0.0, 1.0)).unwrap();
+        s.push(rec(0, 1, 1.0, 2.0)).unwrap();
+        s.push(rec(1, 0, 0.0, 2.0)).unwrap();
+        assert!(matches!(
+            s.finish(),
+            Err(TraceError::EndsInsideTask { task: TaskId(1) })
+        ));
     }
 
     /// The carry from `prev`, fitted to `prev_final`, into `cur`.
     fn carry_from(prev: &WindowedLog, prev_final: &LogInputs, cur: &WindowedLog) -> OccupancyCarry {
         occupancy_carry(prev.start, &prev.orig_tasks, prev_final, cur)
+    }
+
+    /// A real event that queues behind a carry task bounds it by the
+    /// next time observed in its task, even when its own departure is
+    /// free: here task 1 leaves q2 at an observed 6.6, so it cannot have
+    /// left q1 after 1.6 on the window clock, and the carried 2.5 would
+    /// leave the window without a feasible completion.
+    #[test]
+    fn occupancy_carry_is_clamped_by_a_later_observed_time() {
+        let s = WindowSchedule::new(5.0, 5.0).unwrap();
+        let mut b = EventLogBuilder::new(3, StateId(0));
+        b.add_task(1.0, &[(StateId(1), QueueId(1), 1.0, 7.5)])
+            .unwrap();
+        b.add_task(
+            6.0,
+            &[
+                (StateId(1), QueueId(1), 6.0, 6.2),
+                (StateId(2), QueueId(2), 6.2, 6.6),
+            ],
+        )
+        .unwrap();
+        let log = b.build().unwrap();
+        // Everything observed but the q1 → q2 handoff of task 1.
+        let mut mask = ObservedMask::unobserved(log.num_events());
+        for e in log.event_ids() {
+            if !(log.task_of(e) == TaskId(1) && log.queue_of(e) == QueueId(2)) {
+                mask.observe_arrival(e);
+            }
+            mask.observe_departure(e);
+        }
+        let ml = MaskedLog::new(log, mask).unwrap();
+        let windows = slice_windows(&ml, &s).unwrap();
+        let prev_final = windows[0].masked().ground_truth().inputs();
+        let carry = carry_from(&windows[0], &prev_final, &windows[1]);
+        assert!((carry.busy_until(QueueId(1)) - 7.5).abs() < 1e-12);
+        let with = windows[1].with_occupancy(&carry).unwrap();
+        let wlog = with.masked().ground_truth();
+        let ghost = wlog.task_events(TaskId::from_index(1));
+        assert_eq!(wlog.queue_of(ghost[1]), QueueId(1));
+        assert!((wlog.departure(ghost[1]) - 1.6).abs() < 1e-12);
     }
 
     /// Occupancy carry: residual busy time from non-shared tasks is

@@ -23,12 +23,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    // `lint` mixes a valueless `--json` flag and positional paths, so it
-    // bypasses the strict `--flag value` parser used by the other
-    // subcommands.
-    if cmd == "lint" {
-        return cmd_lint(rest);
-    }
     let mut flags = match parse_flags(rest) {
         Ok(f) => f,
         Err(e) => {
@@ -105,8 +99,7 @@ USAGE:
                [--occupancy-carry on|off] [--iterations 200] [--burn-in N]
                [--seed 2] [--chains 1] [--shards 1] [--threads N]
                [--out traj.csv] [--json traj.json]
-  qni volume   --tasks-per-day N --events-per-task M [--fraction 0.01]
-  qni lint     [--json] [path-prefix ...]";
+  qni volume   --tasks-per-day N --events-per-task M [--fraction 0.01]";
 
 /// Collects `--key value` pairs. A repeated flag is an error, so a
 /// script never silently runs on the last of two values.
@@ -593,7 +586,6 @@ fn cmd_watch(flags: &mut HashMap<String, String>) -> Result<(), CliError> {
         retry: RetryPolicy {
             max_attempts: 3,
             sleep: Some(sleep_ms),
-            ..RetryPolicy::default()
         },
         max_bad_lines,
     };
@@ -754,90 +746,6 @@ fn monotonic_secs() -> f64 {
     use std::time::Instant;
     static START: OnceLock<Instant> = OnceLock::new();
     START.get_or_init(Instant::now).elapsed().as_secs_f64()
-}
-
-/// `qni lint [--json] [path-prefix ...]` — run the
-/// workspace static analysis (same engine and scan policy as the
-/// `qni-lint` CI binary). Unfiltered runs also enforce the `lint.toml`
-/// suppression budget. Exits 0 when clean, 1 on unsuppressed violations
-/// or budget overrun, 2 on usage or I/O errors.
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut filters: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--help" => {
-                println!("usage: qni lint [--json] [path-prefix ...]");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("error: unknown lint flag `{other}`");
-                return ExitCode::from(2);
-            }
-            path => {
-                filters.push(path.to_owned());
-                i += 1;
-            }
-        }
-    }
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot read the current directory: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let root = match qni_lint::config::find_workspace_root(&cwd) {
-        Some(r) => r,
-        None => {
-            eprintln!("error: could not locate the workspace root (Cargo.toml + crates/)");
-            return ExitCode::from(2);
-        }
-    };
-    let report = match qni_lint::lint_paths(&root, &filters) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if json {
-        match report.render_json() {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        print!("{}", report.render_human());
-    }
-    let mut clean = !report.has_errors();
-    if filters.is_empty() {
-        match qni_lint::budget::SuppressionBudget::load(&root) {
-            Ok(Some(budget)) => {
-                for v in budget.check(&report) {
-                    eprintln!("qni-lint: over budget — {v}");
-                    clean = false;
-                }
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 fn cmd_volume(flags: &mut HashMap<String, String>) -> Result<(), CliError> {

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use qni_core::watch::{
         options_fingerprint, run_watch, Checkpoint, StepReport, WatchSession, CHECKPOINT_VERSION,
     };
-    pub use qni_core::{BatchMode, GibbsState, PoolSet, ShardMode, WavePool};
+    pub use qni_core::{BatchMode, GibbsState, ShardMode, WavePool};
     pub use qni_model::ids::{EventId, QueueId, StateId, TaskId};
     pub use qni_model::log::EventLog;
     pub use qni_model::network::QueueingNetwork;

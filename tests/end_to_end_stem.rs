@@ -155,7 +155,6 @@ fn mcem_and_stem_agree() {
         &McemOptions {
             outer_iterations: 30,
             inner_sweeps: 8,
-            ..McemOptions::default()
         },
         &mut rng,
     )
