@@ -24,10 +24,73 @@ use qni_bench::compare::{
 use std::path::Path;
 use std::process::ExitCode;
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: bench_compare --kind batch|shard|chains|stream --current FILE \
+     --history-dir DIR [--keep K] [--min-ratio R]";
+
+/// Every flag `bench_compare` reads, in the order [`parse_args`] binds them.
+const FLAGS: [&str; 5] = [
+    "--kind",
+    "--current",
+    "--history-dir",
+    "--keep",
+    "--min-ratio",
+];
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    kind: String,
+    current: String,
+    history_dir: String,
+    keep: usize,
+    min_ratio: f64,
+}
+
+/// Parses strict `--flag value` pairs. An unknown, repeated or
+/// value-less flag, a missing required flag, a non-numeric value, a
+/// `--min-ratio` outside (0, 1] and `--keep 0` are usage errors.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut values: [Option<&str>; FLAGS.len()] = [None; FLAGS.len()];
+    for pair in args.chunks(2) {
+        let flag = &pair[0];
+        let slot = FLAGS
+            .iter()
+            .position(|f| f == flag)
+            .ok_or_else(|| format!("unknown flag `{flag}`"))?;
+        let value = pair
+            .get(1)
+            .ok_or_else(|| format!("flag {flag} needs a value"))?;
+        if values[slot].replace(value).is_some() {
+            return Err(format!("flag {flag} given more than once"));
+        }
+    }
+    let [kind, current, history_dir, keep, min_ratio] = values;
+    let required = |value: Option<&str>, flag: &str| {
+        value
+            .map(str::to_owned)
+            .ok_or(format!("{flag} is required"))
+    };
+    let keep = match keep {
+        None => DEFAULT_KEEP,
+        Some(v) => match v.parse() {
+            Ok(k) if k > 0 => k,
+            _ => return Err(format!("--keep must be a positive integer, got `{v}`")),
+        },
+    };
+    let min_ratio = match min_ratio {
+        None => DEFAULT_MIN_RATIO,
+        Some(v) => match v.parse() {
+            Ok(r) if r > 0.0 && r <= 1.0 => r,
+            _ => return Err(format!("--min-ratio must be a number in (0, 1], got `{v}`")),
+        },
+    };
+    Ok(Args {
+        kind: required(kind, "--kind")?,
+        current: required(current, "--current")?,
+        history_dir: required(history_dir, "--history-dir")?,
+        keep,
+        min_ratio,
+    })
 }
 
 fn read_report<T: for<'de> serde::Deserialize<'de>>(path: &str, what: &str) -> Result<T, String> {
@@ -87,25 +150,22 @@ fn run_history(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (Some(kind), Some(current), Some(dir)) = (
-        flag(&args, "--kind"),
-        flag(&args, "--current"),
-        flag(&args, "--history-dir"),
-    ) else {
-        eprintln!(
-            "usage: bench_compare --kind batch|shard|chains|stream --current FILE \
-             --history-dir DIR [--keep K] [--min-ratio R]"
-        );
-        return ExitCode::FAILURE;
+    let Args {
+        kind,
+        current,
+        history_dir,
+        keep,
+        min_ratio,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    let min_ratio: f64 = flag(&args, "--min-ratio")
-        .map(|v| v.parse().expect("--min-ratio must be a number"))
-        .unwrap_or(DEFAULT_MIN_RATIO);
-    let keep: usize = flag(&args, "--keep")
-        .map(|v| v.parse().expect("--keep must be an integer"))
-        .unwrap_or(DEFAULT_KEEP);
     println!("cross-run comparison ({kind}, rolling median, min ratio {min_ratio}):");
-    let outcome = match run_history(&kind, &current, Path::new(&dir), keep.max(1), min_ratio) {
+    let outcome = match run_history(&kind, &current, Path::new(&history_dir), keep, min_ratio) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -120,4 +180,63 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn ci_invocation_and_defaults_parse() {
+        let ci = "--kind batch --current results/BENCH_batch.json \
+                  --history-dir bench-history --keep 10";
+        assert_eq!(
+            parse(ci),
+            Ok(Args {
+                kind: "batch".into(),
+                current: "results/BENCH_batch.json".into(),
+                history_dir: "bench-history".into(),
+                keep: 10,
+                min_ratio: DEFAULT_MIN_RATIO,
+            })
+        );
+        let parsed = parse("--history-dir h --min-ratio 1 --current c --kind shard").unwrap();
+        assert_eq!((parsed.keep, parsed.min_ratio), (DEFAULT_KEEP, 1.0));
+    }
+
+    #[test]
+    fn malformed_command_lines_are_usage_errors() {
+        let base = "--kind batch --current c --history-dir h";
+        for (extra, needle) in [
+            ("--min-ratio abc", "--min-ratio"),
+            ("--keep x", "--keep"),
+            ("--keep 0", "--keep"),
+            ("--keep -1", "--keep"),
+            ("--min-ratio 0", "--min-ratio"),
+            ("--min-ratio -0.5", "--min-ratio"),
+            ("--min-ratio 1.5", "--min-ratio"),
+            ("--min-ratio NaN", "--min-ratio"),
+            ("--previous old.json", "--previous"),
+            ("--bogus 1", "--bogus"),
+            ("stray", "stray"),
+            ("--kind shard", "--kind"),
+            ("--keep", "--keep"),
+        ] {
+            let err = parse(&format!("{base} {extra}")).unwrap_err();
+            assert!(err.contains(needle), "`{extra}`: {err}");
+        }
+        for (line, needle) in [
+            ("", "--kind"),
+            ("--kind batch --history-dir h", "--current"),
+            ("--kind batch --current c", "--history-dir"),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert!(err.contains(needle), "`{line}`: {err}");
+        }
+    }
 }

@@ -54,7 +54,7 @@ impl ArrivalConditional {
 /// slope structure of the piecewise log-linear density, with no density
 /// built yet.
 ///
-/// Produced by [`arrival_inputs`]; both the owned scalar path
+/// Produced by [`inputs_from_neighbors`]; both the owned scalar path
 /// ([`arrival_conditional`]) and the batched engine
 /// ([`crate::gibbs::batch`]) turn these same inputs into segments via
 /// [`ArrivalInputs::assemble`], so the two paths are bit-identical by
@@ -174,51 +174,15 @@ pub fn resolve_neighbors(log: &EventLog, e: EventId) -> Result<ArrivalNeighbors,
     })
 }
 
-/// Classifies a support from already-computed bounds and term
-/// breakpoints: the shared tail of [`inputs_from_neighbors`] and the
-/// batched engine's struct-of-arrays wave bounds pass
-/// ([`crate::gibbs::batch`]), so both paths produce bit-identical
-/// supports by construction.
-///
-/// Errors if the bounds leave an empty support (which indicates
-/// constraint corruption — the sampler never produces such states).
-pub(crate) fn support_from_parts(
-    e: EventId,
-    lower: f64,
-    upper: f64,
-    mu1: f64,
-    mu2: f64,
-    term1_break: Option<f64>,
-    term3_break: Option<f64>,
-) -> Result<ArrivalSupport, InferenceError> {
-    if upper < lower {
-        if upper > lower - 1e-9 {
-            // Numerically pinched support: treat as a point.
-            return Ok(ArrivalSupport::Point(lower, lower));
-        }
-        return Err(InferenceError::EmptySupport {
-            event: e,
-            lower,
-            upper,
-        });
-    }
-    if upper - lower < DEGENERATE_WIDTH {
-        return Ok(ArrivalSupport::Point(lower, upper));
-    }
-    Ok(ArrivalSupport::Interval(ArrivalInputs {
-        lower,
-        upper,
-        mu1,
-        mu2,
-        term1_break,
-        term3_break,
-    }))
-}
-
 /// Computes the support and slope structure of `e`'s conditional from a
 /// resolved neighbourhood — pure float reads, no pointer chasing, no
 /// allocation. `mu1`/`mu2` are the service rates of `e`'s and `π(e)`'s
 /// queues.
+///
+/// Every arrival support the sampler uses comes from here: the scalar
+/// sweep's (through [`arrival_inputs`]), each batched wave member's in
+/// the prepare phase, and each deferred move's in the drain
+/// ([`crate::gibbs::batch`]).
 ///
 /// Errors if the current state leaves an empty support (which indicates
 /// constraint corruption — the sampler never produces such states).
@@ -230,9 +194,6 @@ pub fn inputs_from_neighbors(
     mu2: f64,
 ) -> Result<ArrivalSupport, InferenceError> {
     // Support bounds. `begin_service(p)` = max(a_p, d_{ρ(p)}), all fixed.
-    // The max/min chains mirror the batched engine's wave bounds kernel
-    // operand-for-operand (missing neighbours are ±∞ neutral elements
-    // there), keeping the two paths bit-identical.
     let a_p = log.arrival(nb.p);
     let mut lower = match nb.rho_p {
         Some(rp) => a_p.max(log.departure(rp)),
@@ -248,20 +209,33 @@ pub fn inputs_from_neighbors(
     if let Some(n) = nb.next_at_p {
         upper = upper.min(log.departure(n));
     }
+    if upper < lower {
+        if upper > lower - 1e-9 {
+            // Numerically pinched support: treat as a point.
+            return Ok(ArrivalSupport::Point(lower, lower));
+        }
+        return Err(InferenceError::EmptySupport {
+            event: e,
+            lower,
+            upper,
+        });
+    }
+    if upper - lower < DEGENERATE_WIDTH {
+        return Ok(ArrivalSupport::Point(lower, upper));
+    }
     let term1_break = if nb.self_follow {
         None // Active throughout: begin_service(e) = a_e itself.
     } else {
         nb.rho_e.map(|r| log.departure(r))
     };
-    support_from_parts(
-        e,
+    Ok(ArrivalSupport::Interval(ArrivalInputs {
         lower,
         upper,
         mu1,
         mu2,
         term1_break,
-        nb.next_at_p.map(|n| log.arrival(n)),
-    )
+        term3_break: nb.next_at_p.map(|n| log.arrival(n)),
+    }))
 }
 
 /// Computes the support and slope structure of event `e`'s arrival

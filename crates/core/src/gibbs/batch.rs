@@ -25,13 +25,13 @@
 //! 3. **Red-black waves.** Within a group, events at even and odd queue
 //!    positions form two *waves* (no two same-wave events are ρ-adjacent,
 //!    so same-wave moves almost never interact). Each wave runs a
-//!    draw-free **prepare phase** — a struct-of-arrays bounds pass
-//!    (`wave_bounds_kernel`, shaped for compiler auto-vectorization)
-//!    followed by per-member density construction — and then a serial
-//!    **drain** samples every member against the prepared slots. The
-//!    prepare phase is a pure function of the wave-entry log, which is
-//!    what lets [`crate::gibbs::shard`] fan it out across worker threads
-//!    without changing a single byte of output.
+//!    draw-free **prepare phase** in two passes — every member's support
+//!    from [`super::arrival::inputs_from_neighbors`], the function the
+//!    scalar sweep calls, then the interval members' densities — and
+//!    then a serial **drain** samples every member against the prepared
+//!    slots. The prepare phase is a pure function of the wave-entry log,
+//!    which is what lets [`crate::gibbs::shard`] fan it out across worker
+//!    threads without changing a single byte of output.
 //!
 //! # Conflict sets and the fallback
 //!
@@ -70,7 +70,7 @@
 
 use crate::error::InferenceError;
 use crate::gibbs::arrival::{
-    inputs_from_neighbors, resolve_neighbors, support_from_parts, ArrivalNeighbors, ArrivalSupport,
+    inputs_from_neighbors, resolve_neighbors, ArrivalInputs, ArrivalNeighbors, ArrivalSupport,
 };
 use crate::gibbs::shard::ShardMode;
 use qni_model::ids::EventId;
@@ -126,49 +126,6 @@ pub struct GroupStats {
     pub fallbacks: usize,
 }
 
-/// Struct-of-arrays buffers for the wave bounds pass: one column per
-/// neighbourhood time the support reads, with ±∞ neutral elements for
-/// missing neighbours, plus the `lower`/`upper` output columns. Laying
-/// the pass out column-wise turns the bound arithmetic into straight
-/// `max`/`min` chains over equal-length slices
-/// ([`wave_bounds_kernel`]) that the compiler can auto-vectorize.
-#[derive(Debug, Clone, Default)]
-struct SoaBounds {
-    /// `a_{π(e)}` — always present.
-    a_p: Vec<f64>,
-    /// `d_{ρ(π(e))}`, or `-∞` when `π(e)` has no queue predecessor.
-    d_rho_p: Vec<f64>,
-    /// `a_{ρ(e)}`, or `-∞` when `e` has no queue predecessor.
-    a_rho_e: Vec<f64>,
-    /// `d_e` — always present.
-    d_e: Vec<f64>,
-    /// `a_{ρ⁻¹(e)}`, or `+∞` when `e` has no queue successor.
-    a_succ: Vec<f64>,
-    /// `d_N` for `N = ρ⁻¹(π(e))`, or `+∞` when absent.
-    d_n: Vec<f64>,
-    /// Output: support lower bounds.
-    lower: Vec<f64>,
-    /// Output: support upper bounds.
-    upper: Vec<f64>,
-}
-
-impl SoaBounds {
-    fn resize(&mut self, n: usize) {
-        for col in [
-            &mut self.a_p,
-            &mut self.d_rho_p,
-            &mut self.a_rho_e,
-            &mut self.d_e,
-            &mut self.a_succ,
-            &mut self.d_n,
-            &mut self.lower,
-            &mut self.upper,
-        ] {
-            col.resize(n, 0.0);
-        }
-    }
-}
-
 /// Reusable working memory of the batched engine.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
@@ -183,8 +140,6 @@ pub struct BatchScratch {
     /// and for every scalar arrival, final-departure and shift move of a
     /// sweep.
     pub(crate) pw: PiecewiseScratch,
-    /// Struct-of-arrays wave bounds buffers.
-    soa: SoaBounds,
     /// Per-member density slots, aligned with the wave's shapes; built
     /// by the (possibly sharded) prepare phase, sampled by the drain.
     slots: Vec<PiecewiseScratch>,
@@ -221,7 +176,6 @@ impl BatchScratch {
     /// disjoint slices its prepare phase writes.
     pub(crate) fn wave_bufs<'a>(&'a mut self, shapes: &'a [PlanShape]) -> WaveBufs<'a> {
         let n = shapes.len();
-        self.soa.resize(n);
         if self.supports.len() < n {
             self.supports.resize(n, ArrivalSupport::Point(0.0, 0.0));
         }
@@ -230,34 +184,18 @@ impl BatchScratch {
         }
         WaveBufs {
             shapes,
-            a_p: &mut self.soa.a_p[..n],
-            d_rho_p: &mut self.soa.d_rho_p[..n],
-            a_rho_e: &mut self.soa.a_rho_e[..n],
-            d_e: &mut self.soa.d_e[..n],
-            a_succ: &mut self.soa.a_succ[..n],
-            d_n: &mut self.soa.d_n[..n],
-            lower: &mut self.soa.lower[..n],
-            upper: &mut self.soa.upper[..n],
             supports: &mut self.supports[..n],
             slots: &mut self.slots[..n],
         }
     }
 }
 
-/// The per-member slices one wave's prepare phase writes: the SoA
-/// bounds columns plus the support and density slots. Chunks split off
-/// with [`WaveBufs::split_at`] are disjoint, so shard workers can fill
-/// them concurrently while sharing the frozen log read-only.
+/// The per-member slices one wave's prepare phase writes: the support
+/// and density slots. Chunks split off with [`WaveBufs::split_at`] are
+/// disjoint, so shard workers can fill them concurrently while sharing
+/// the frozen log read-only.
 pub(crate) struct WaveBufs<'a> {
     shapes: &'a [PlanShape],
-    a_p: &'a mut [f64],
-    d_rho_p: &'a mut [f64],
-    a_rho_e: &'a mut [f64],
-    d_e: &'a mut [f64],
-    a_succ: &'a mut [f64],
-    d_n: &'a mut [f64],
-    lower: &'a mut [f64],
-    upper: &'a mut [f64],
     supports: &'a mut [ArrivalSupport],
     slots: &'a mut [PiecewiseScratch],
 }
@@ -271,40 +209,16 @@ impl<'a> WaveBufs<'a> {
     /// Splits the buffers row-wise into `[..mid)` and `[mid..)` chunks.
     pub(crate) fn split_at(self, mid: usize) -> (WaveBufs<'a>, WaveBufs<'a>) {
         let (shapes_l, shapes_r) = self.shapes.split_at(mid);
-        let (a_p_l, a_p_r) = self.a_p.split_at_mut(mid);
-        let (d_rho_p_l, d_rho_p_r) = self.d_rho_p.split_at_mut(mid);
-        let (a_rho_e_l, a_rho_e_r) = self.a_rho_e.split_at_mut(mid);
-        let (d_e_l, d_e_r) = self.d_e.split_at_mut(mid);
-        let (a_succ_l, a_succ_r) = self.a_succ.split_at_mut(mid);
-        let (d_n_l, d_n_r) = self.d_n.split_at_mut(mid);
-        let (lower_l, lower_r) = self.lower.split_at_mut(mid);
-        let (upper_l, upper_r) = self.upper.split_at_mut(mid);
         let (supports_l, supports_r) = self.supports.split_at_mut(mid);
         let (slots_l, slots_r) = self.slots.split_at_mut(mid);
         (
             WaveBufs {
                 shapes: shapes_l,
-                a_p: a_p_l,
-                d_rho_p: d_rho_p_l,
-                a_rho_e: a_rho_e_l,
-                d_e: d_e_l,
-                a_succ: a_succ_l,
-                d_n: d_n_l,
-                lower: lower_l,
-                upper: upper_l,
                 supports: supports_l,
                 slots: slots_l,
             },
             WaveBufs {
                 shapes: shapes_r,
-                a_p: a_p_r,
-                d_rho_p: d_rho_p_r,
-                a_rho_e: a_rho_e_r,
-                d_e: d_e_r,
-                a_succ: a_succ_r,
-                d_n: d_n_r,
-                lower: lower_r,
-                upper: upper_r,
                 supports: supports_r,
                 slots: slots_r,
             },
@@ -325,99 +239,53 @@ impl WaveBufs<'_> {
     }
 }
 
-impl WaveBufs<'_> {
-    /// The struct-of-arrays wave bounds kernel: straight `max`/`min`
-    /// chains over equal-length columns, shaped for compiler
-    /// auto-vectorization. Operand order matches
-    /// [`inputs_from_neighbors`] exactly (missing neighbours are ±∞
-    /// neutral elements, which leave `max`/`min` results bit-identical
-    /// to skipping the operand).
-    fn wave_bounds_kernel(&mut self) {
-        let WaveBufs {
-            a_p,
-            d_rho_p,
-            a_rho_e,
-            d_e,
-            a_succ,
-            d_n,
-            lower,
-            upper,
-            ..
-        } = self;
-        let n = lower.len();
-        assert!(
-            a_p.len() == n
-                && d_rho_p.len() == n
-                && a_rho_e.len() == n
-                && d_e.len() == n
-                && a_succ.len() == n
-                && d_n.len() == n
-                && upper.len() == n
-        );
-        for i in 0..n {
-            lower[i] = a_p[i].max(d_rho_p[i]).max(a_rho_e[i]);
-            upper[i] = d_e[i].min(a_succ[i]).min(d_n[i]);
-        }
-    }
-}
-
-/// Prepares one chunk of a wave against the frozen wave-entry log:
-/// gathers the neighbourhood times into the SoA columns, runs the
-/// bounds kernel, classifies each member's support, and builds the
-/// interval members' densities into their slots. Pure with respect to
-/// the log and draw-free, so any partition of a wave into chunks — and
-/// any thread schedule running them — produces bit-identical buffers.
+/// Prepares one chunk of a wave against the frozen wave-entry log, in
+/// two passes: every member's support from [`inputs_from_neighbors`],
+/// then the interval members' densities into their slots. Building a
+/// density inside the first loop measured about 4 % slower: the builds
+/// stop the members' independent neighbour loads from overlapping.
+///
+/// The first failing member in member order decides the error, its
+/// support error before its density error, so a wave split into chunks
+/// fails exactly as an inline wave does: the first pass stops at the
+/// first empty support, and the second pass builds only the members
+/// before it. Pure with respect to the log and draw-free, so any
+/// partition of a wave into chunks — and any thread schedule running
+/// them — produces bit-identical buffers.
 pub(crate) fn prepare_chunk(
     log: &EventLog,
     rates: &[f64],
-    mut bufs: WaveBufs<'_>,
+    bufs: WaveBufs<'_>,
 ) -> Result<(), InferenceError> {
-    for (i, shape) in bufs.shapes.iter().enumerate() {
-        let nb = &shape.nb;
-        bufs.a_p[i] = log.arrival(nb.p);
-        bufs.d_rho_p[i] = nb.rho_p.map_or(f64::NEG_INFINITY, |rp| log.departure(rp));
-        bufs.a_rho_e[i] = nb.rho_e.map_or(f64::NEG_INFINITY, |r| log.arrival(r));
-        bufs.d_e[i] = log.departure(shape.e);
-        bufs.a_succ[i] = nb.succ.map_or(f64::INFINITY, |s| log.arrival(s));
-        bufs.d_n[i] = nb.next_at_p.map_or(f64::INFINITY, |nn| log.departure(nn));
-    }
-    bufs.wave_bounds_kernel();
     let WaveBufs {
         shapes,
-        lower,
-        upper,
         supports,
         slots,
-        ..
     } = bufs;
+    let mut prepared = shapes.len();
+    let mut support_err = None;
     for (i, shape) in shapes.iter().enumerate() {
-        let nb = &shape.nb;
-        let term1_break = if nb.self_follow {
-            None
-        } else {
-            nb.rho_e.map(|r| log.departure(r))
-        };
-        let support = support_from_parts(
+        match inputs_from_neighbors(
+            log,
             shape.e,
-            lower[i],
-            upper[i],
+            &shape.nb,
             rates[shape.qe as usize],
             rates[shape.qp as usize],
-            term1_break,
-            nb.next_at_p.map(|nn| log.arrival(nn)),
-        )?;
-        if let ArrivalSupport::Interval(inputs) = support {
-            let (breaks, slopes, n) = inputs.assemble();
-            slots[i].rebuild_continuous(
-                inputs.lower,
-                inputs.upper,
-                &breaks[..n],
-                &slopes[..n + 1],
-            )?;
+        ) {
+            Ok(support) => supports[i] = support,
+            Err(err) => {
+                prepared = i;
+                support_err = Some(err);
+                break;
+            }
         }
-        supports[i] = support;
     }
-    Ok(())
+    for (support, slot) in supports[..prepared].iter().zip(&mut slots[..prepared]) {
+        if let ArrivalSupport::Interval(inputs) = support {
+            build_density(inputs, slot)?;
+        }
+    }
+    support_err.map_or(Ok(()), Err)
 }
 
 /// Collects the conflict set of event `e` from its neighbourhood: every
@@ -473,11 +341,11 @@ pub(crate) fn build_group_structure(
 /// Resamples a same-queue group of arrival moves in place, wave by wave.
 ///
 /// Each wave runs the (optionally sharded, see
-/// [`crate::gibbs::shard`]) prepare phase — the struct-of-arrays bounds
-/// pass plus per-member density construction against the wave's entry
-/// state — then a serial drain samples every member, deferring to a
-/// live conditional rebuild for the rare member whose cached state an
-/// earlier same-wave move invalidated. RNG consumption per event is
+/// [`crate::gibbs::shard`]) prepare phase — every member's support and
+/// density against the wave's entry state (`prepare_chunk`) — then a
+/// serial drain samples every member, deferring to a live conditional
+/// rebuild for the rare member whose cached state an earlier same-wave
+/// move invalidated. RNG consumption per event is
 /// identical to the scalar [`super::arrival::resample_arrival`] (one
 /// uniform per non-degenerate move, none for a point support), and the
 /// drawn bytes are independent of `shard` (the prepare phase is
@@ -549,11 +417,17 @@ pub(crate) fn sample_arrival<R: Rng + ?Sized>(
     match support {
         ArrivalSupport::Point(lower, _) => Ok(lower),
         ArrivalSupport::Interval(inputs) => {
-            let (breaks, slopes, n) = inputs.assemble();
-            pw.rebuild_continuous(inputs.lower, inputs.upper, &breaks[..n], &slopes[..n + 1])?;
+            build_density(&inputs, pw)?;
             Ok(pw.sample(rng))
         }
     }
+}
+
+/// Builds an interval support's density into `pw`.
+fn build_density(inputs: &ArrivalInputs, pw: &mut PiecewiseScratch) -> Result<(), InferenceError> {
+    let (breaks, slopes, n) = inputs.assemble();
+    pw.rebuild_continuous(inputs.lower, inputs.upper, &breaks[..n], &slopes[..n + 1])?;
+    Ok(())
 }
 
 #[cfg(test)]

@@ -417,6 +417,78 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_wave_fails_the_same_way_however_it_is_chunked() {
+        // Twelve tasks through one queue, spaced so nobody waits. Every
+        // member of the odd-position wave has an interval support in
+        // which its queue's rate enters the density.
+        let mut b = EventLogBuilder::new(2, StateId(0));
+        for i in 0..12 {
+            let t = 1.0 + f64::from(i);
+            b.add_task(t, &[(StateId(1), QueueId(1), t, t + 0.5)])
+                .unwrap();
+        }
+        let log = b.build().unwrap();
+        let events = log.events_at_queue(QueueId(1)).to_vec();
+        let gs = build_group_structure(&log, &events).unwrap();
+        let wave = gs.test_wave(1);
+        assert_eq!(wave.len(), 6);
+        // The wave keeps queue order: member j is the event at position 2j + 1.
+        let members: Vec<_> = events.iter().skip(1).step_by(2).copied().collect();
+        let mut clean = BatchScratch::default();
+        crate::gibbs::batch::prepare_chunk(&log, &[1.0, 2.0], clean.wave_bufs(wave)).unwrap();
+        let lowers: Vec<f64> = clean
+            .wave_bufs(wave)
+            .test_supports()
+            .iter()
+            .map(|s| match s {
+                ArrivalSupport::Interval(inputs) => inputs.lower,
+                ArrivalSupport::Point(..) => panic!("fixture member has a point support"),
+            })
+            .collect();
+        // A NaN rate at the group's queue makes every interval member's
+        // density fail.
+        let nan_rates = [1.0, f64::NAN];
+        // (members 0..points pinned to point supports, member k given an
+        // empty support): k before and after the first interval member,
+        // in the leader chunk and past a split point.
+        for (points, k) in [(0usize, 0usize), (0, 3), (4, 3), (4, 5)] {
+            let mut bad = log.clone();
+            for (&e, &lower) in members.iter().zip(&lowers).take(points) {
+                bad.set_final_departure(e, lower);
+            }
+            bad.set_final_departure(members[k], lowers[k] - 0.5);
+            let first_interval = (points..wave.len()).find(|&i| i != k).unwrap();
+            let mut scratch = BatchScratch::default();
+            let inline =
+                crate::gibbs::batch::prepare_chunk(&bad, &nan_rates, scratch.wave_bufs(wave))
+                    .unwrap_err();
+            if k < first_interval {
+                assert!(
+                    matches!(inline, InferenceError::EmptySupport { event, .. } if event == members[k]),
+                    "points {points}, k {k}: {inline:?}"
+                );
+            } else {
+                assert!(
+                    matches!(inline, InferenceError::Stats(_)),
+                    "points {points}, k {k}: {inline:?}"
+                );
+            }
+            for capacity in [2usize, 3] {
+                let mut pool = WavePool::new(capacity);
+                let mut scratch = BatchScratch::default();
+                let pooled = pool
+                    .dispatch(&bad, &nan_rates, scratch.wave_bufs(wave), capacity)
+                    .unwrap_err();
+                assert_eq!(
+                    format!("{pooled:?}"),
+                    format!("{inline:?}"),
+                    "points {points}, k {k}, {capacity} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn drop_shuts_down_cleanly_used_or_not() {
         // Never dispatched: helpers are parked on recv and must exit
         // when the job channels close.

@@ -9,8 +9,9 @@
 //! The batched engine ([`super::batch`]) already splits every same-queue
 //! group into red-black *waves* and processes each wave in two phases:
 //!
-//! 1. a **prepare phase** — for every wave member, gather the
-//!    neighbourhood times, compute the support bounds, and build the
+//! 1. a **prepare phase** — take every wave member's support from
+//!    [`super::arrival::inputs_from_neighbors`] (the function the scalar
+//!    sweep calls), then build each interval member's
 //!    piecewise-exponential conditional. This phase is a *pure function
 //!    of the wave-entry log*: it reads shared state and writes only
 //!    per-member slots, and it draws **no randomness**.

@@ -429,10 +429,20 @@ fn bad_usage_fails_with_help() {
 fn shards_flag_is_byte_identical_and_validated() {
     let dir = std::env::temp_dir().join("qni-cli-shard-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    let trace = dir.join("trace.jsonl");
-    let out = qni()
-        .args([
-            "simulate",
+    let simulate = |name: &str, flags: &[&str]| {
+        let trace = dir.join(name);
+        let out = qni()
+            .arg("simulate")
+            .args(flags)
+            .args(["--out", trace.to_str().expect("utf8 path")])
+            .output()
+            .expect("run simulate");
+        assert!(out.status.success());
+        trace
+    };
+    let trace = simulate(
+        "trace.jsonl",
+        &[
             "--tiers",
             "1,1",
             "--lambda",
@@ -445,33 +455,47 @@ fn shards_flag_is_byte_identical_and_validated() {
             "0.2",
             "--seed",
             "9",
-            "--out",
-            trace.to_str().expect("utf8 path"),
-        ])
-        .output()
-        .expect("run simulate");
-    assert!(out.status.success());
+        ],
+    );
+    // 2,249 free arrivals at q1 make waves of about 1,124 members, past
+    // the 2 × MIN_EVENTS_PER_WORKER fan-out, so this trace runs the wave
+    // pool; a fixed --threads 2 fans it out even on a one-core host.
+    let fanout = simulate(
+        "fanout.jsonl",
+        &[
+            "--tiers",
+            "1",
+            "--lambda",
+            "4",
+            "--mu",
+            "6",
+            "--tasks",
+            "2500",
+            "--observe",
+            "0.1",
+        ],
+    );
 
     // Sharding is a pure performance knob: every --shards value must
     // print byte-identical estimates (only the shard banner differs).
-    let infer = |shards: &str| {
+    let infer = |trace: &std::path::Path, iterations: &str, shards: &[&str]| {
         let out = qni()
             .args([
                 "infer",
                 "--trace",
                 trace.to_str().expect("utf8 path"),
                 "--iterations",
-                "30",
+                iterations,
                 "--seed",
                 "3",
                 "--shards",
-                shards,
             ])
+            .args(shards)
             .output()
             .expect("run infer --shards");
         assert!(
             out.status.success(),
-            "--shards {shards}: {}",
+            "--shards {shards:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -482,16 +506,20 @@ fn shards_flag_is_byte_identical_and_validated() {
             .collect();
         (stdout, table)
     };
-    let (base, base_table) = infer("1");
+    let (base, base_table) = infer(&trace, "30", &["1"]);
     assert!(!base.contains("sharded sweeps:"), "stdout: {base}");
     for shards in ["2", "4"] {
-        let (full, table) = infer(shards);
+        let (full, table) = infer(&trace, "30", &[shards]);
         assert!(
             full.contains("sharded sweeps:") && full.contains("byte-identical"),
             "--shards {shards} should print the shard banner: {full}"
         );
         assert_eq!(table, base_table, "--shards {shards} changed the estimates");
     }
+    let (_, serial) = infer(&fanout, "8", &["1"]);
+    let (full, pooled) = infer(&fanout, "8", &["2", "--threads", "2"]);
+    assert!(full.contains("sharded sweeps:"), "stdout: {full}");
+    assert_eq!(pooled, serial, "a fanned-out wave changed the estimates");
 
     // --shards 0 is a usage error, not a silent serial run.
     let out = qni()
